@@ -14,18 +14,14 @@
 //!   overrides every entry's measured window for quick local iteration
 //!   (the pin comparison is skipped, so such records must not be
 //!   committed as the baseline).
-//! * `barometer check <baseline.jsonl> [--smoke] [--only A,B]
-//!   [--mem-only]` — re-measure and compare per (workload, variant):
-//!   exits non-zero on census divergence, lost coverage, peak-RSS
-//!   regression, or timing regression beyond each record's `check_factor`
-//!   (timing is advisory when the baseline came from a different host
-//!   shape — see the `cpus_mismatch` verdict field; memory never is). The
-//!   CI bench gate; `--only` restricts it to named workloads (the
-//!   memory-conformance CI leg runs just the two 64×64 full-silicon
-//!   entries). `--mem-only` makes *all* timing verdicts advisory while
-//!   still failing on census or memory divergence — for legs whose build
-//!   deliberately changes the kernel's speed (force-scalar) but must not
-//!   change its residency.
+//! * `barometer check <baseline.jsonl> [--smoke] [--only A,B]` —
+//!   re-measure and compare per (workload, variant): exits non-zero on
+//!   census divergence, lost coverage, peak-RSS regression, or timing
+//!   regression beyond each record's `check_factor` (timing is advisory
+//!   when the baseline came from a different host shape — see the
+//!   `cpus_mismatch` verdict field; memory never is). The CI bench gate;
+//!   `--only` restricts it to named workloads (the memory-conformance CI
+//!   leg runs just the two 64×64 full-silicon entries).
 //! * `barometer summary <records.jsonl>` — render the ranked markdown
 //!   summary for an existing record file (the EXPERIMENTS.md table).
 //! * `barometer pin` — run the conformance matrix over every corpus entry
@@ -230,16 +226,11 @@ fn main() -> ExitCode {
             let Some(fresh) = measure_all(smoke, only, opts, host) else {
                 return ExitCode::FAILURE;
             };
-            let mem_only = args.iter().any(|a| a == "--mem-only");
             let verdicts = sweep::check(&baseline, &fresh, host);
             let mut failed = false;
             for v in &verdicts {
                 println!("{}", v.to_line());
-                // Under --mem-only a timing regression is advisory by
-                // design (the leg's build intentionally trades speed);
-                // census and memory verdicts still gate.
-                failed |= v.failing()
-                    && !(mem_only && matches!(v.status, sweep::VerdictStatus::Regressed));
+                failed |= v.failing();
             }
             if failed {
                 eprintln!("[barometer] GATE FAILED");

@@ -37,7 +37,6 @@ impl Variant {
         let strat = match self.strategy {
             EvalStrategy::Swar => "swar",
             EvalStrategy::Sparse => "sparse",
-            EvalStrategy::Dense => "dense",
         };
         let tel = if self.telemetry { "_telemetry" } else { "" };
         format!("{sched}_{strat}_t{}{tel}", self.threads)
@@ -45,16 +44,12 @@ impl Variant {
 }
 
 /// The full conformance matrix every corpus entry must pass before any of
-/// its timings are trusted: {Swar, Sparse scalar, Dense scalar} ×
+/// its timings are trusted: {Swar, Sparse scalar oracle} ×
 /// {Sweep, Active} × threads {1, 8}, plus the telemetry-instrumented
-/// probe. 13 runs per entry, all required to be bit-identical.
+/// probe. 9 runs per entry, all required to be bit-identical.
 pub fn conformance_matrix() -> Vec<Variant> {
-    let mut m = Vec::with_capacity(13);
-    for strategy in [
-        EvalStrategy::Swar,
-        EvalStrategy::Sparse,
-        EvalStrategy::Dense,
-    ] {
+    let mut m = Vec::with_capacity(9);
+    for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
         for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
             for threads in [1, 8] {
                 m.push(Variant {
@@ -1074,12 +1069,8 @@ mod tests {
     #[test]
     fn matrix_covers_required_space() {
         let m = conformance_matrix();
-        assert_eq!(m.len(), 13);
-        for strategy in [
-            EvalStrategy::Swar,
-            EvalStrategy::Sparse,
-            EvalStrategy::Dense,
-        ] {
+        assert_eq!(m.len(), 9);
+        for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
             for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
                 for threads in [1, 8] {
                     assert!(

@@ -17,27 +17,6 @@ pub struct TileConfig {
     pub link_latency: u8,
 }
 
-/// Delivery-timing contract for inter-core spikes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TickSemantics {
-    /// The architectural contract: a spike from tick `t` with axonal delay
-    /// `d ≥ 1` is integrated at tick `t + d`. Core evaluation order within a
-    /// tick is unobservable; simulation is deterministic and parallelisable.
-    #[default]
-    Deterministic,
-    /// Ablation: effective delay `d − 1`, i.e. a delay-1 spike tries to land
-    /// in the *same* tick. Whether it arrives before or after its target
-    /// evaluates depends on the sweep order, so results become
-    /// order-dependent — the hazard the tick barrier exists to prevent.
-    ///
-    /// **Serial-only contract:** because correctness of the ablation *is*
-    /// the sweep order, a relaxed chip always evaluates on a single thread.
-    /// [`crate::ChipBuilder::build`] rejects `threads > 1` under this
-    /// semantics with [`crate::ChipBuildError::RelaxedParallel`] rather than
-    /// silently ignoring the setting.
-    Relaxed,
-}
-
 /// How the chip selects which cores to evaluate each tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CoreScheduling {
@@ -69,13 +48,9 @@ pub struct ChipConfig {
     pub core_neurons: usize,
     /// Base LFSR seed; core `(x, y)` is seeded with a value derived from it.
     pub seed: u32,
-    /// Delivery-timing contract.
-    pub semantics: TickSemantics,
     /// Number of worker threads for the tick pipeline (1 = sequential).
     /// Threads parallelise both Phase A (core evaluation) and Phase B
-    /// (spike routing) of the deterministic tick.
-    /// Only [`TickSemantics::Deterministic`] may use more than one thread;
-    /// the builder rejects a relaxed-parallel combination.
+    /// (spike routing) of the tick.
     pub threads: usize,
     /// Which cores are evaluated each tick (quiescence skipping vs full
     /// sweep). Either choice is bit-identical; `Active` is faster on any
@@ -93,7 +68,6 @@ impl Default for ChipConfig {
             core_axons: 256,
             core_neurons: 256,
             seed: 0x5EED_C0DE,
-            semantics: TickSemantics::Deterministic,
             threads: 1,
             scheduling: CoreScheduling::default(),
             tile: None,
@@ -141,10 +115,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_deterministic_sequential() {
-        let c = ChipConfig::default();
-        assert_eq!(c.semantics, TickSemantics::Deterministic);
-        assert_eq!(c.threads, 1);
+    fn default_is_sequential() {
+        assert_eq!(ChipConfig::default().threads, 1);
     }
 
     #[test]

@@ -9,12 +9,9 @@
 //! evaluate in any order — sequentially, in parallel threads, or on real
 //! asynchronous silicon — and produce bit-identical results. This is the
 //! property that makes the software simulator one-to-one with the chip, and
-//! it is what the equivalence experiment (figure F5) checks.
-//!
-//! [`TickSemantics::Relaxed`] is the ablation: it delivers spikes with an
-//! effective delay of `delay − 1`, which makes results depend on the core
-//! sweep order and (on hardware) on arrival races. The divergence it causes
-//! is part of the F5 experiment.
+//! it is what the equivalence experiment (figure F5) checks. F5's
+//! unbarriered ablation (effective delay `delay − 1`, so results ride the
+//! core sweep order) is a harness over bare cores in `brainsim-bench`.
 //!
 //! Functional routing: because in-tick network timing is unobservable under
 //! the barrier, the chip simulator delivers packets directly and charges
@@ -66,7 +63,7 @@ pub mod trace;
 pub use batch::{BatchError, BatchTickError, ChipBatch};
 pub use builder::{ChipBuildError, ChipBuilder};
 pub use chip::{Chip, InjectError, Steppable, TickError, TickSummary};
-pub use config::{ChipConfig, CoreScheduling, TickSemantics, TileConfig};
+pub use config::{ChipConfig, CoreScheduling, TileConfig};
 pub use snapshot::{Snapshot, TelemetrySnapshot};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so

@@ -12,7 +12,7 @@
 //!
 //! | section     | contents                                               |
 //! |-------------|--------------------------------------------------------|
-//! | `config`    | [`ChipConfig`]: grid, core dims, seed, semantics       |
+//! | `config`    | [`ChipConfig`]: grid, core dims, seed, threads, tiling |
 //! | `chip`      | tick cursor, hop/crossing/output counters, fault stats |
 //! | `cores`     | one [`brainsim_core::CoreState`] per core, row-major   |
 //! | `faults`    | the retained [`FaultPlan`] (optional)                  |
@@ -33,7 +33,7 @@ use brainsim_snapshot::{
 };
 use brainsim_telemetry::{RunSummary, TelemetryConfig};
 
-use crate::config::{ChipConfig, CoreScheduling, TickSemantics, TileConfig};
+use crate::config::{ChipConfig, CoreScheduling, TileConfig};
 
 /// The telemetry image a snapshot carries: enough to resume collection
 /// without double-counting. The record ring is deliberately *not*
@@ -55,7 +55,7 @@ pub struct TelemetrySnapshot {
 /// Produced by [`crate::Chip::checkpoint`]; consumed by
 /// [`crate::Chip::restore`]. Restoring and continuing yields the
 /// bit-identical event stream an uninterrupted run produces, at any thread
-/// count, under either scheduler, on the SWAR or scalar kernels.
+/// count, under either scheduler, on the SWAR kernel or the scalar oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The chip configuration (restored verbatim, including thread count
@@ -93,10 +93,10 @@ fn write_chip_config(w: &mut Writer, c: &ChipConfig) {
     w.usize(c.core_axons);
     w.usize(c.core_neurons);
     w.u32(c.seed);
-    w.u8(match c.semantics {
-        TickSemantics::Deterministic => 0,
-        TickSemantics::Relaxed => 1,
-    });
+    // Reserved: the tick-semantics tag of the BSNP layout. The barriered
+    // tick is tag 0 and the only contract; the byte stays so existing
+    // checkpoints remain readable, and the reader refuses any other value.
+    w.u8(0);
     w.usize(c.threads);
     w.u8(match c.scheduling {
         CoreScheduling::Active => 0,
@@ -114,17 +114,18 @@ fn write_chip_config(w: &mut Writer, c: &ChipConfig) {
 }
 
 fn read_chip_config(r: &mut Reader) -> Result<ChipConfig, WireError> {
+    let (width, height, core_axons, core_neurons) =
+        (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
+    let seed = r.u32()?;
+    if r.u8()? != 0 {
+        return Err(WireError::Malformed("semantics tag"));
+    }
     Ok(ChipConfig {
-        width: r.usize()?,
-        height: r.usize()?,
-        core_axons: r.usize()?,
-        core_neurons: r.usize()?,
-        seed: r.u32()?,
-        semantics: match r.u8()? {
-            0 => TickSemantics::Deterministic,
-            1 => TickSemantics::Relaxed,
-            _ => return Err(WireError::Malformed("semantics tag")),
-        },
+        width,
+        height,
+        core_axons,
+        core_neurons,
+        seed,
         threads: r.usize()?,
         scheduling: match r.u8()? {
             0 => CoreScheduling::Active,
@@ -303,6 +304,24 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brainsim_core::EvalStrategy;
+
+    /// Re-encodes `bytes` with `patch` applied to one section's payload
+    /// and the CRC recomputed, so only the semantic layer can object.
+    fn with_patched_section(
+        bytes: &[u8],
+        id: SectionId,
+        patch: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut sections: Vec<(SectionId, Vec<u8>)> = decode_container(bytes)
+            .expect("container")
+            .into_iter()
+            .map(|(s, p)| (s, p.to_vec()))
+            .collect();
+        let section = sections.iter_mut().find(|(s, _)| *s == id);
+        patch(&mut section.expect("section present").1);
+        encode_container(&sections)
+    }
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -351,30 +370,71 @@ mod tests {
 
     #[test]
     fn trailing_garbage_inside_a_section_is_typed() {
-        let mut snap = sample_snapshot();
-        snap.app = Vec::new();
-        let mut bytes = snap.to_bytes();
-        // Grow the config section by one byte and fix up its length and
-        // CRC so only the semantic layer can catch it.
-        let config_payload_at = 12 + 16;
-        let mut payload = {
-            let mut w = Writer::new();
-            write_chip_config(&mut w, &snap.config);
-            w.into_bytes()
-        };
-        payload.push(0xEE);
-        let mut rebuilt = bytes[..12].to_vec();
-        rebuilt.extend_from_slice(&SectionId::Config.tag().to_le_bytes());
-        rebuilt.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        rebuilt.extend_from_slice(&brainsim_snapshot::crc32(&payload).to_le_bytes());
-        rebuilt.extend_from_slice(&payload);
-        rebuilt.extend_from_slice(&bytes[config_payload_at + payload.len() - 1..]);
-        bytes = rebuilt;
+        let bytes = with_patched_section(&sample_snapshot().to_bytes(), SectionId::Config, |p| {
+            p.push(0xEE)
+        });
         assert_eq!(
             Snapshot::from_bytes(&bytes),
             Err(RestoreError::Malformed {
                 section: SectionId::Config,
                 what: "trailing bytes"
+            })
+        );
+    }
+
+    #[test]
+    fn retired_wire_tags_are_typed_errors() {
+        // Tags an older writer could have emitted — relaxed tick semantics
+        // (1) and the dense evaluation strategy (0) — are refused as
+        // malformed, never mapped onto a surviving value.
+        let chip = crate::ChipBuilder::new(ChipConfig {
+            width: 1,
+            height: 1,
+            core_axons: 4,
+            core_neurons: 4,
+            ..ChipConfig::default()
+        })
+        .build()
+        .expect("empty chip builds");
+        let snap = chip.checkpoint();
+        let good = snap.to_bytes();
+
+        // The semantics byte follows four u64 dimensions and the u32 seed.
+        let relaxed = with_patched_section(&good, SectionId::Config, |p| p[36] = 1);
+        assert_eq!(
+            Snapshot::from_bytes(&relaxed),
+            Err(RestoreError::Malformed {
+                section: SectionId::Config,
+                what: "semantics tag"
+            })
+        );
+
+        // The strategy byte is wherever the Swar and Sparse images differ.
+        let cores_payload = |strategy| {
+            let mut w = Writer::new();
+            w.usize(1);
+            codec::write_core_state(
+                &mut w,
+                &CoreState {
+                    strategy,
+                    ..snap.cores[0].clone()
+                },
+            );
+            w.into_bytes()
+        };
+        let (swar, sparse) = (
+            cores_payload(EvalStrategy::Swar),
+            cores_payload(EvalStrategy::Sparse),
+        );
+        let at = (0..swar.len())
+            .find(|&i| swar[i] != sparse[i])
+            .expect("strategy byte");
+        let dense = with_patched_section(&good, SectionId::Cores, |p| p[at] = 0);
+        assert_eq!(
+            Snapshot::from_bytes(&dense),
+            Err(RestoreError::Malformed {
+                section: SectionId::Cores,
+                what: "strategy tag"
             })
         );
     }

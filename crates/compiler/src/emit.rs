@@ -247,7 +247,6 @@ pub(crate) fn emit(
         core_axons: options.core_axons,
         core_neurons: options.core_neurons,
         seed: options.seed,
-        semantics: options.semantics,
         threads: options.threads,
         scheduling: options.scheduling,
         tile: None,

@@ -63,7 +63,7 @@ mod place;
 
 use std::fmt;
 
-use brainsim_chip::{CoreScheduling, TickSemantics};
+use brainsim_chip::CoreScheduling;
 use brainsim_corelet::LogicalNetwork;
 use serde::{Deserialize, Serialize};
 
@@ -84,8 +84,6 @@ pub struct CompileOptions {
     pub anneal_iters: u32,
     /// Seed for the placement annealer and per-core LFSRs.
     pub seed: u32,
-    /// Tick semantics of the emitted chip.
-    pub semantics: TickSemantics,
     /// Worker threads of the emitted chip.
     pub threads: usize,
     /// Core-evaluation scheduling mode of the emitted chip (bit-identical
@@ -108,7 +106,6 @@ impl Default for CompileOptions {
             grid: None,
             anneal_iters: 10_000,
             seed: 0xC0_FFEE,
-            semantics: TickSemantics::Deterministic,
             threads: 1,
             scheduling: CoreScheduling::default(),
             faulty_cells: Vec::new(),

@@ -277,8 +277,8 @@ pub fn write_core_state(w: &mut Writer, s: &CoreState) {
         w.u64(word);
     }
     w.u32(s.rng_state);
+    // Wire tags are part of the BSNP format: never renumber, never reuse 0.
     w.u8(match s.strategy {
-        EvalStrategy::Dense => 0,
         EvalStrategy::Sparse => 1,
         EvalStrategy::Swar => 2,
     });
@@ -347,7 +347,6 @@ pub fn read_core_state(r: &mut Reader) -> Result<CoreState, WireError> {
     let scheduler_slots = vec_u64(r, sched_words)?;
     let rng_state = r.u32()?;
     let strategy = match r.u8()? {
-        0 => EvalStrategy::Dense,
         1 => EvalStrategy::Sparse,
         2 => EvalStrategy::Swar,
         _ => return Err(WireError::Malformed("strategy tag")),

@@ -27,7 +27,7 @@ pub const VERSION: u32 = 1;
 /// The typed sections a snapshot container may carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SectionId {
-    /// Chip configuration (grid, core dimensions, seed, semantics).
+    /// Chip configuration (grid, core dimensions, seed, threads, tiling).
     Config = 1,
     /// Chip-level counters and routing fault accounting.
     Chip = 2,

@@ -4,14 +4,15 @@
 //! per-tick raster checksum and final event census of a solo `Chip` run
 //! with the same seed, drive, and fault plan, at every Phase B worker
 //! count, and lane 0 (the canonical stream) reproduces the entry's pinned
-//! checksum. The force-scalar CI leg re-runs the suite with the fused
-//! SWAR/SoA lane path compiled out, proving the solo-degraded batch walk
-//! is equally faithful.
+//! checksum. The per-lane fault-plan case also runs with scalar-oracle
+//! lanes, whose cores are never fusible, proving the solo-degraded batch
+//! walk is equally faithful.
 //!
 //! Set `BRAINSIM_TEST_THREADS` to add an extra thread count to the matrix
 //! (the CI batch-conformance job runs the suite with 1 and 8).
 
 use brainsim::chip::{ChipBatch, TelemetryConfig};
+use brainsim::core::EvalStrategy;
 use brainsim::faults::FaultPlan;
 use brainsim_bench::corpus::{self, WorkloadDef};
 use brainsim_bench::sweep;
@@ -78,7 +79,15 @@ fn lane_identity_is_thread_count_invariant() {
 fn per_lane_fault_plans_diverge_without_breaking_identity() {
     // Distinct fault plans per lane: lane 0 clean, lane 1 crossbar-burning
     // synapse faults, lane 2 dead/stuck neurons + link drops. Every lane
-    // must still equal a solo chip carrying the same plan and drive.
+    // must still equal a solo chip carrying the same plan and drive — on
+    // the fused SWAR path and with `Sparse` lanes, where no core is fusible
+    // and the whole batch walk degrades to solo ticks.
+    for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
+        per_lane_fault_plans_stay_bit_identical(strategy);
+    }
+}
+
+fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
     let def = smoke_defs().into_iter().next().expect("smoke corpus");
     let plans: [Option<FaultPlan>; 3] = [
         None,
@@ -98,7 +107,7 @@ fn per_lane_fault_plans_diverge_without_breaking_identity() {
     let build = || {
         brainsim_bench::corpus::build_workload(
             &def,
-            brainsim::core::EvalStrategy::Swar,
+            strategy,
             brainsim::chip::CoreScheduling::Sweep,
             1,
         )

@@ -4,12 +4,10 @@
 //! Every corpus entry pins an FNV-1a checksum over its full run (per-tick
 //! spike rasters + final event census). These tests run the smoke subset
 //! of the corpus through the complete conformance matrix — {Swar, Sparse
-//! scalar, Dense scalar} × {Sweep, Active} × threads {1, 8} + the
-//! telemetry probe — and require every variant to be bit-identical AND to
-//! match the pinned value, so a regression in any strategy, scheduler, or
-//! the thread pipeline fails here before any benchmark number is trusted.
-//! The force-scalar CI leg re-runs the same matrix with the SWAR fast
-//! path compiled out.
+//! scalar oracle} × {Sweep, Active} × threads {1, 8} + the telemetry
+//! probe — and require every variant to be bit-identical AND to match the
+//! pinned value, so a regression in either strategy, scheduler, or the
+//! thread pipeline fails here before any benchmark number is trusted.
 //!
 //! The full (non-smoke) corpus — including both 64×64 / 4096-core
 //! entries — is verified by `barometer measure`/`check` in the bench CI
@@ -22,8 +20,8 @@ use brainsim_bench::sweep;
 
 /// The smoke subset: every corpus entry cheap enough for `cargo test`.
 /// Debug builds trim to the 8×8 entries so the default tier-1 suite stays
-/// fast; release runs (CI's corpus-conformance job) cover all smoke
-/// entries up to 32×32.
+/// fast; release runs (CI's `test` job) cover all smoke entries up to
+/// 32×32.
 fn smoke_defs() -> Vec<WorkloadDef> {
     corpus::corpus()
         .into_iter()
