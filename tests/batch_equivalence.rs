@@ -1,5 +1,5 @@
 //! Differential proof that the batched many-chip backend is unobservable:
-//! for every smoke corpus entry, every lane of a `ChipBatch` — each lane
+//! for every `batch` corpus entry, every lane of a `ChipBatch` — each lane
 //! consuming its own salted drive stream — produces the bit-identical
 //! per-tick raster checksum and final event census of a solo `Chip` run
 //! with the same seed, drive, and fault plan, at every Phase B worker
@@ -9,7 +9,7 @@
 //! walk is equally faithful.
 //!
 //! Set `BRAINSIM_TEST_THREADS` to add an extra thread count to the matrix
-//! (the CI batch-conformance job runs the suite with 1 and 8).
+//! (the CI `test` job runs the suite with 1, 8 and 2).
 
 use brainsim::chip::{ChipBatch, TelemetryConfig};
 use brainsim::core::EvalStrategy;
@@ -17,14 +17,12 @@ use brainsim::faults::FaultPlan;
 use brainsim_bench::corpus::{self, WorkloadDef};
 use brainsim_bench::sweep;
 
-/// The smoke subset, debug-trimmed exactly like `tests/conformance.rs`:
-/// release CI covers every smoke entry, the default tier-1 run only the
-/// 8×8 shapes.
-fn smoke_defs() -> Vec<WorkloadDef> {
-    corpus::corpus()
-        .into_iter()
-        .filter(|d| d.smoke && (!cfg!(debug_assertions) || d.cores() <= 64))
-        .collect()
+/// The lane-differential subset of `corpus::test_defs`: in release every
+/// entry but `nemo_64x64_full`, in debug the two 8×8 smoke shapes.
+fn batch_defs() -> Vec<WorkloadDef> {
+    let mut defs = corpus::test_defs();
+    defs.retain(|d| d.batch);
+    defs
 }
 
 /// Thread counts under test: serial and a small pool, plus whatever the
@@ -44,7 +42,7 @@ fn thread_counts() -> Vec<usize> {
 
 #[test]
 fn every_lane_matches_its_solo_twin_at_eight_lanes() {
-    for def in smoke_defs() {
+    for def in batch_defs() {
         let verified = sweep::verify_batch_workload(&def, 8)
             .unwrap_or_else(|e| panic!("batch conformance failure: {e}"));
         assert_eq!(
@@ -67,8 +65,8 @@ fn every_lane_matches_its_solo_twin_at_eight_lanes() {
 #[test]
 fn lane_identity_is_thread_count_invariant() {
     // One representative entry per thread count keeps the suite
-    // tier-1-sized; the 8-lane sweep above covers the whole smoke corpus.
-    let def = smoke_defs().into_iter().next().expect("smoke corpus");
+    // tier-1-sized; the 8-lane sweep above covers every `batch` entry.
+    let def = batch_defs().remove(0);
     for threads in thread_counts() {
         sweep::verify_batch_workload_threads(&def, 2, threads)
             .unwrap_or_else(|e| panic!("batch conformance failure at t{threads}: {e}"));
@@ -88,7 +86,7 @@ fn per_lane_fault_plans_diverge_without_breaking_identity() {
 }
 
 fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
-    let def = smoke_defs().into_iter().next().expect("smoke corpus");
+    let def = batch_defs().remove(0);
     let plans: [Option<FaultPlan>; 3] = [
         None,
         Some(
@@ -145,7 +143,7 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
             })
             .collect()
     };
-    for _ in 0..def.ticks() {
+    for _ in 0..def.ticks {
         let t = batch.now();
         for lane in 0..plans.len() {
             for index in 0..def.structured() {

@@ -1,37 +1,27 @@
-//! Corpus-driven differential conformance: the `cargo test` smoke mode of
-//! the benchmark barometer (ROADMAP item 3).
+//! Corpus-driven differential conformance.
 //!
 //! Every corpus entry pins an FNV-1a checksum over its full run (per-tick
-//! spike rasters + final event census). These tests run the smoke subset
-//! of the corpus through the complete conformance matrix — {Swar, Sparse
-//! scalar oracle} × {Sweep, Active} × threads {1, 8} + the telemetry
-//! probe — and require every variant to be bit-identical AND to match the
-//! pinned value, so a regression in either strategy, scheduler, or the
-//! thread pipeline fails here before any benchmark number is trusted.
+//! spike rasters + final event census). These tests run the corpus through
+//! the complete conformance matrix — {Swar, Sparse scalar oracle} ×
+//! {Sweep, Active} × threads {1, 8} + the telemetry probe — and require
+//! every variant to be bit-identical AND to match the pinned value, so a
+//! regression in either strategy, scheduler, or the thread pipeline fails
+//! here.
 //!
-//! The full (non-smoke) corpus — including both 64×64 / 4096-core
-//! entries — is verified by `barometer measure`/`check` in the bench CI
-//! job, which refuses to emit timing records until the same matrix
-//! agrees.
+//! Release builds run all eight entries, both 64×64 / 4096-core shapes
+//! included; debug builds run the two 8×8 `smoke` entries
+//! (`corpus::test_defs`). To pin a new entry, add it with `checksum: None`
+//! and run `cargo test --release --test conformance`: the failure prints
+//! the value to paste.
 
-use brainsim_bench::corpus::{self, WorkloadDef};
-use brainsim_bench::record::Host;
+use brainsim::chip::{Chip, CoreScheduling};
+use brainsim::core::EvalStrategy;
+use brainsim_bench::corpus::{self, build_workload};
 use brainsim_bench::sweep;
 
-/// The smoke subset: every corpus entry cheap enough for `cargo test`.
-/// Debug builds trim to the 8×8 entries so the default tier-1 suite stays
-/// fast; release runs (CI's `test` job) cover all smoke entries up to
-/// 32×32.
-fn smoke_defs() -> Vec<WorkloadDef> {
-    corpus::corpus()
-        .into_iter()
-        .filter(|d| d.smoke && (!cfg!(debug_assertions) || d.cores() <= 64))
-        .collect()
-}
-
 #[test]
-fn every_smoke_entry_is_bit_identical_across_the_matrix() {
-    for def in smoke_defs() {
+fn every_corpus_entry_is_bit_identical_across_the_matrix() {
+    for def in corpus::test_defs() {
         let verified =
             sweep::verify_workload(&def).unwrap_or_else(|e| panic!("conformance failure: {e}"));
         assert!(
@@ -71,25 +61,42 @@ fn corpus_is_fully_pinned_and_reaches_full_silicon_scale() {
     );
 }
 
+/// Sparse residency as an exact count: on `nemo_64x64_edge` every core
+/// outside the 205-core island is a dormant header when built and still is
+/// after the entry's full driven run, under both schedulers — `Sweep`
+/// evaluates the bulk every tick and must not materialise it either.
 #[test]
-fn sweep_records_carry_honest_host_parallelism() {
-    let def = corpus::find("nemo_8x8_lo").expect("corpus entry exists");
-    // A deliberately tiny host: every multi-threaded variant must be
-    // flagged as oversubscribed instead of masquerading as speedup.
-    let host = Host {
-        cpus: 1,
-        os: "linux",
+fn edge_bulk_cores_stay_dormant_through_the_run() {
+    // Release only: the entry is not in the debug set.
+    let Some(def) = corpus::test_defs()
+        .into_iter()
+        .find(|d| d.name == "nemo_64x64_edge")
+    else {
+        return;
     };
-    let records = sweep::sweep_workload(&def, host).expect("entry conforms");
-    assert!(!records.is_empty());
-    for r in &records {
-        assert_eq!(r.host_cpus, 1);
-        assert_eq!(r.oversubscribed, r.threads > 1, "{}", r.variant);
-        assert_eq!(Some(r.census_checksum), def.checksum, "{}", r.variant);
-        assert_eq!(r.workload, def.name);
+    let island = def.structured();
+    assert_eq!((island, def.cores() - island), (205, 3891));
+    let expected: Vec<bool> = (0..def.cores()).map(|i| i >= island).collect();
+    let dormant = |chip: &Chip| -> Vec<bool> {
+        (0..def.cores())
+            .map(|i| {
+                chip.core(i % def.width, i / def.width)
+                    .expect("core on the grid")
+                    .is_dormant()
+            })
+            .collect()
+    };
+    for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
+        let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, scheduling, 1);
+        assert_eq!(dormant(&chip), expected, "{scheduling:?}: at build");
+        brainsim_bench::drive_random_cores(
+            &mut chip,
+            def.ticks,
+            def.drive_rate,
+            sweep::lane_drive_seed(&def, 0),
+            island,
+        );
+        assert!(chip.census().spikes > 0, "the island must be active");
+        assert_eq!(dormant(&chip), expected, "{scheduling:?}: after the run");
     }
-    assert!(
-        records.iter().any(|r| r.threads == 8 && r.oversubscribed),
-        "the threaded variants must carry the oversubscription flag"
-    );
 }

@@ -6,7 +6,7 @@
 //! bit-identical to the serial full-sweep reference.
 //!
 //! Set `BRAINSIM_TEST_THREADS` to add an extra thread count to the matrix
-//! (the CI job runs the suite with 1 and 8).
+//! (the CI `test` job runs the suite with 1, 8 and 2).
 
 use brainsim::chip::{
     Chip, ChipBuilder, ChipConfig, CoreScheduling, TelemetryConfig, TelemetryLog,
@@ -362,12 +362,10 @@ fn active_scheduling_evaluates_fewer_cores_on_bursty_input() {
     assert_eq!(active_evaluated, active_t8);
 }
 
-/// The differential matrix and the benchmark barometer share one workload
-/// source: this pulls a ≥16×16 corpus entry from the barometer's generator
-/// (rather than the ad-hoc 4×4 builder above) and proves the run checksum
-/// and census are bit-identical across every thread count, both schedulers,
-/// and the scalar reference strategy — the same contract the bench harness
-/// enforces before it trusts a timing.
+/// This pulls a ≥16×16 entry from the corpus generator (rather than the
+/// ad-hoc 4×4 builder above) and proves the run checksum and census are
+/// bit-identical across every thread count, both schedulers, and the
+/// scalar reference strategy.
 #[test]
 fn corpus_workload_is_bit_identical_across_threads_and_scheduling() {
     use brainsim::core::EvalStrategy;
@@ -378,8 +376,7 @@ fn corpus_workload_is_bit_identical_across_threads_and_scheduling() {
     assert!(def.cores() >= 256, "entry must be at least 16×16");
     // Shortened run: cross-variant identity is the property under test
     // here; the full-length pinned-checksum run is tests/conformance.rs.
-    def.warmup = 5;
-    def.measure = 40;
+    def.ticks = 45;
     def.checksum = None;
 
     let reference = run_variant(

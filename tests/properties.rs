@@ -604,10 +604,10 @@ fn bitmap_to_indices(bitmap: &[u64]) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Barometer corpus generator (crates/bench): determinism and the NeMo-style
-// 80/20 connectivity-split invariant. The corpus is the workload source for
-// both the benchmark barometer and the differential suites, so its generator
-// must be byte-deterministic per seed and honest about its stated topology.
+// Corpus generator (crates/bench): determinism and the NeMo-style 80/20
+// connectivity-split invariant. The corpus is the workload source for the
+// differential suites, so its generator must be byte-deterministic per seed
+// and honest about its stated topology.
 // ---------------------------------------------------------------------------
 
 use brainsim::chip::CoreScheduling;
@@ -643,12 +643,10 @@ fn arb_workload_def() -> impl Strategy<Value = WorkloadDef> {
                 intra,
                 drive_rate,
                 island: None,
-                warmup: 2,
-                measure: 8,
+                ticks: 10,
                 overlay,
                 smoke: true,
                 batch: false,
-                check_factor: 1.25,
                 checksum: None,
             },
         )
@@ -761,8 +759,8 @@ proptest! {
             .map(|lane| Lfsr::new(lane_drive_seed(&def, lane)))
             .collect();
         let mut twin_noises = noises.clone();
-        for tick in 0..def.ticks() {
-            if tick == def.ticks() / 2 {
+        for tick in 0..def.ticks {
+            if tick == def.ticks / 2 {
                 for (lane, twin) in twins.iter_mut().enumerate() {
                     let snap = batch.checkpoint_lane(lane);
                     prop_assert!(batch.restore_lane(lane, snap).is_ok());
@@ -877,8 +875,8 @@ proptest! {
         }
         let mut noise_s = Lfsr::new(lane_drive_seed(&def, 0));
         let mut noise_d = noise_s.clone();
-        for tick in 0..def.ticks() {
-            if tick == def.ticks() / 2 {
+        for tick in 0..def.ticks {
+            if tick == def.ticks / 2 {
                 // Mid-run: full-state equality, then restore both and keep
                 // going — the restore path must not depend on residency.
                 let snap_s = sparse.checkpoint();

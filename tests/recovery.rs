@@ -14,11 +14,13 @@
 //! silent-core signature.
 
 use brainsim::chip::CoreScheduling;
-use brainsim::compiler::{compile, CompileOptions, NetworkMap};
+use brainsim::compiler::{compile, repair, CompileOptions, NetworkMap};
 use brainsim::corelet::{Corelet, LogicalNetwork, NodeRef};
 use brainsim::faults::{FaultInjector, FaultPlan};
 use brainsim::neuron::NeuronConfig;
-use brainsim::recovery::{RecoveryEvent, RecoveryPolicy, RecoveryStats, SelfHealingRunner};
+use brainsim::recovery::{
+    hot_migrate, RecoveryEvent, RecoveryPolicy, RecoveryStats, SelfHealingRunner,
+};
 
 const TICKS: u64 = 160;
 /// Tick the fault plan is armed at, mid-run, on a warmed-up chip.
@@ -334,4 +336,29 @@ fn migration_persists_a_checkpoint_when_configured() {
         .count();
     assert!(saved >= 1, "pre-migration checkpoint must be persisted");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn hot_migration_resumes_at_the_source_clock_with_an_identical_census() {
+    // 56 cores on an 8x8 grid: the repair has eight spares to choose from.
+    let net = chain_net(56);
+    let opts = options((8, 8), 1, CoreScheduling::Sweep);
+    let mut compiled = compile(&net, &opts).expect("compile");
+    for t in 0..50 {
+        compiled.inject(0, t).expect("inject");
+        compiled.tick();
+    }
+    // Migrate a healthy mid-chain core: its live state must survive the
+    // move, not just the untouched cores'.
+    let map = compiled.network_map().clone();
+    let condemned = [map.positions[map.positions.len() / 2]];
+    let mut repaired = repair(&net, &opts, &map, &condemned).expect("repair");
+    hot_migrate(compiled.chip(), &mut repaired).expect("migrate");
+
+    assert_eq!(repaired.moves.len(), 1);
+    assert_eq!(repaired.moves[0].from, condemned[0]);
+    let (source, migrated) = (compiled.chip(), repaired.compiled.chip());
+    assert!(source.census().spikes > 0, "the chain must be mid-activity");
+    assert_eq!(migrated.now(), source.now());
+    assert_eq!(migrated.census(), source.census());
 }

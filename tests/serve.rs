@@ -687,145 +687,3 @@ fn shutdown_then_resume_continues_bit_identically() {
     assert_eq!(view.checksum, solo_checksum(tenant_chip(9), 9, 26, true));
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// The measured tenant class for the overhead experiment: an 8×8
-/// full-sweep echo chip, heavy enough (64 cores/tick) that real tick
-/// work swamps the session bookkeeping and the host timer's noise
-/// floor, which on this 1-CPU host sits near the 2×2 chip's ~400 ns.
-fn measured_chip(seed: u64) -> Chip {
-    echo_chip(8, seed as u32, CoreScheduling::Sweep)
-}
-
-/// Drives one fleet with the given tenants for `ticks + warmup` ticks
-/// (unlimited budget, workers = 1, checkpoints off) and returns each
-/// tenant's steady-state metered ns/tick, warmup excluded.
-fn measure_fleet(tag: &str, tenants: &[(String, u64)], ticks: u64, warmup: u64) -> Vec<u64> {
-    let dir = tmpdir(tag);
-    let mut fleet = Fleet::new(
-        ServeConfig {
-            workers: 1,
-            ticks_per_round: 64,
-            checkpoint_every: u64::MAX,
-            deadline: DeadlinePolicy {
-                budget: BudgetMeter::Unlimited,
-                ..DeadlinePolicy::default()
-            },
-            ..ServeConfig::default()
-        },
-        &dir,
-    );
-    for (name, seed) in tenants {
-        fleet.admit(name, measured_chip(*seed)).expect("admit");
-    }
-    let mut upto = vec![0u64; tenants.len()];
-    let mut warm_ns = vec![0u64; tenants.len()];
-    let mut warm_ticks = vec![0u64; tenants.len()];
-    while fleet.session(&tenants[0].0).expect("session").ticks < ticks + warmup {
-        for (i, (name, seed)) in tenants.iter().enumerate() {
-            let view = fleet.session(name).expect("session");
-            let horizon = view.ticks + 80;
-            while upto[i] < horizon {
-                if let Some(cmd) = stim(*seed, upto[i]) {
-                    fleet.submit(name, cmd).expect("submit");
-                }
-                upto[i] += 1;
-            }
-            // Snapshot the meter at the warmup boundary so the steady
-            // state is measured alone.
-            let m = view.metrics;
-            if m.ticks <= warmup {
-                warm_ns[i] = m.wall_nanos;
-                warm_ticks[i] = m.ticks;
-            }
-        }
-        fleet.run_round();
-    }
-    let out = tenants
-        .iter()
-        .enumerate()
-        .map(|(i, (name, seed))| {
-            let view = fleet.session(name).expect("session");
-            let m = view.metrics;
-            assert_eq!(
-                view.checksum,
-                solo_checksum(measured_chip(*seed), *seed, view.ticks, true),
-                "overhead run must still be bit-identical"
-            );
-            (m.wall_nanos - warm_ns[i]) / (m.ticks - warm_ticks[i])
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
-/// Not a CI gate — a recorded experiment (EXPERIMENTS.md § Multi-tenant
-/// serving). Measures the per-tick latency a tenant observes inside a
-/// fully loaded 8-tenant fleet against the same session hosted alone in
-/// a fleet-of-1 (identical metering, identical machinery — the ratio
-/// isolates *cross-tenant* interference, the acceptance bar, ≤ 1.5×),
-/// plus a raw `Chip::try_tick` loop as context for the fixed session
-/// bookkeeping cost. Minimum estimator over 3 reps throughout.
-///
-/// Run with: `cargo test --release --test serve -- --ignored --nocapture`
-#[test]
-#[ignore = "experiment: prints solo vs in-fleet latency for EXPERIMENTS.md"]
-fn experiment_fleet_overhead() {
-    const SEEDS: [u64; 8] = [11, 22, 33, 44, 55, 66, 77, 88];
-    const TICKS: u64 = 2048;
-    const WARMUP: u64 = 256;
-    const REPS: usize = 3;
-
-    // Context baseline: the bare chip, wall time summed over exactly
-    // the `try_tick` calls (the same probe `SessionMetrics::wall_nanos`
-    // uses), no session machinery at all.
-    let mut raw_ns = vec![u64::MAX; SEEDS.len()];
-    for _ in 0..REPS {
-        for (i, &seed) in SEEDS.iter().enumerate() {
-            let mut chip = measured_chip(seed);
-            let mut nanos = 0u64;
-            for tick in 0..TICKS + WARMUP {
-                if let Some(cmd) = stim(seed, tick) {
-                    chip.inject_word(cmd.x, cmd.y, cmd.word, cmd.bits, cmd.target_tick)
-                        .expect("solo inject");
-                }
-                let started = std::time::Instant::now();
-                chip.try_tick().expect("solo tick");
-                if tick >= WARMUP {
-                    nanos += started.elapsed().as_nanos() as u64;
-                }
-            }
-            raw_ns[i] = raw_ns[i].min(nanos / TICKS);
-        }
-    }
-
-    let tenants: Vec<(String, u64)> = SEEDS.iter().map(|&s| (format!("m{s}"), s)).collect();
-    let mut fleet1_ns = vec![u64::MAX; SEEDS.len()];
-    let mut fleet8_ns = vec![u64::MAX; SEEDS.len()];
-    for rep in 0..REPS {
-        for (i, tenant) in tenants.iter().enumerate() {
-            let ns = measure_fleet(
-                &format!("ovh1-{rep}-{i}"),
-                std::slice::from_ref(tenant),
-                TICKS,
-                WARMUP,
-            );
-            fleet1_ns[i] = fleet1_ns[i].min(ns[0]);
-        }
-        let ns = measure_fleet(&format!("ovh8-{rep}"), &tenants, TICKS, WARMUP);
-        for (slot, sample) in fleet8_ns.iter_mut().zip(ns) {
-            *slot = (*slot).min(sample);
-        }
-    }
-
-    println!("tenant  raw chip  fleet-of-1  fleet-of-8  8/1 ratio");
-    let mut worst = 0.0f64;
-    for (i, (name, _)) in tenants.iter().enumerate() {
-        let ratio = fleet8_ns[i] as f64 / fleet1_ns[i] as f64;
-        worst = worst.max(ratio);
-        println!(
-            "{name:>6}  {:>8}  {:>10}  {:>10}  {ratio:.3}",
-            raw_ns[i], fleet1_ns[i], fleet8_ns[i]
-        );
-    }
-    println!("worst cross-tenant ratio (fleet-of-8 / fleet-of-1): {worst:.3} (bar: 1.5)");
-}
