@@ -135,10 +135,6 @@ pub struct WorkloadDef {
     pub overlay: FaultOverlay,
     /// Whether the entry runs in debug builds too (see [`test_defs`]).
     pub smoke: bool,
-    /// Whether the entry is covered by the lane differential
-    /// (`tests/batch_equivalence.rs`: eight `ChipBatch` lanes against
-    /// their solo twins).
-    pub batch: bool,
     /// Pinned FNV-1a checksum over the run's per-tick rasters and final
     /// census. `None` only while authoring a new entry: the conformance
     /// test fails on an unpinned entry and prints the value to paste here.
@@ -384,7 +380,6 @@ pub fn corpus() -> Vec<WorkloadDef> {
         ticks: 120,
         overlay: FaultOverlay::None,
         smoke: false,
-        batch: true,
         checksum: None,
     };
     vec![
@@ -435,10 +430,9 @@ pub fn corpus() -> Vec<WorkloadDef> {
             ..base.clone()
         },
         WorkloadDef {
-            // The batched-backend stress shape: full-size cores on a small
-            // grid, half-density crossbars, and near-saturating drive, so
-            // synaptic integration (the phase the lane kernel amortises
-            // across replicas) dominates the tick.
+            // The synaptic-integration stress shape: full-size cores on a
+            // small grid, half-density crossbars, and near-saturating
+            // drive, so integration dominates the tick.
             name: "dense_8x8",
             seed: 0xA11C_E008,
             axons: 256,
@@ -475,8 +469,6 @@ pub fn corpus() -> Vec<WorkloadDef> {
             density: 16,
             drive_rate: 8,
             ticks: 30,
-            // Eight lanes of this chip are 8 × 269 MiB.
-            batch: false,
             checksum: Some(0x53d5_1e98_682a_6196),
             ..base
         },

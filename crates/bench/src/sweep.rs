@@ -1,9 +1,8 @@
 //! The differential conformance layer: runs a corpus entry across the full
-//! {eval strategy × scheduler × thread count} matrix and through the
-//! batched backend, and proves every run bit-identical to the others and
-//! to the entry's pinned checksum.
+//! {eval strategy × scheduler × thread count} matrix and proves every run
+//! bit-identical to the others and to the entry's pinned checksum.
 
-use brainsim_chip::{ChipBatch, CoreScheduling, TelemetryConfig};
+use brainsim_chip::{CoreScheduling, TelemetryConfig};
 use brainsim_core::EvalStrategy;
 use brainsim_energy::EventCensus;
 use brainsim_neuron::Lfsr;
@@ -80,20 +79,6 @@ pub struct RunResult {
 /// overlay, drives the seeded stimulus for `def.ticks` ticks and folds the
 /// per-tick raster into the checksum.
 pub fn run_variant(def: &WorkloadDef, variant: &Variant) -> RunResult {
-    run_variant_with_drive(def, variant, lane_drive_seed(def, 0))
-}
-
-/// The drive-stream seed of one batch lane. Lane 0 is the canonical solo
-/// stream itself — a batch's lane 0 therefore reproduces the entry's
-/// pinned checksum bit for bit — and every further lane salts the seed so
-/// the replicas diverge in stimulus while sharing the network.
-pub fn lane_drive_seed(def: &WorkloadDef, lane: usize) -> u32 {
-    (def.seed ^ 0x0D21_5EED) ^ (lane as u32).wrapping_mul(0x9E37_79B9)
-}
-
-/// [`run_variant`] with an explicit drive-stream seed — the solo twin
-/// runner the batch differential check compares each lane against.
-pub fn run_variant_with_drive(def: &WorkloadDef, variant: &Variant, drive_seed: u32) -> RunResult {
     let (mut chip, _) = build_workload(def, variant.strategy, variant.scheduling, variant.threads);
     if let Some(plan) = def.fault_plan() {
         chip.set_fault_plan(&plan);
@@ -101,7 +86,7 @@ pub fn run_variant_with_drive(def: &WorkloadDef, variant: &Variant, drive_seed: 
     if variant.telemetry {
         chip.enable_telemetry(TelemetryConfig::default());
     }
-    let mut noise = Lfsr::new(drive_seed);
+    let mut noise = Lfsr::new(lane_drive_seed(def, 0));
     let mut hash = Fnv1a::new();
     let structured = def.structured();
     let width = def.width;
@@ -125,6 +110,14 @@ pub fn run_variant_with_drive(def: &WorkloadDef, variant: &Variant, drive_seed: 
         census,
         checksum: hash.finish(),
     }
+}
+
+/// The drive-stream seed of one replica of an entry. Lane 0 is the
+/// canonical stream the pinned checksum was taken under; every further
+/// lane salts the seed, so `ChipBatch` lanes (and their solo twins in the
+/// differential suites) diverge in stimulus while sharing the network.
+pub fn lane_drive_seed(def: &WorkloadDef, lane: usize) -> u32 {
+    (def.seed ^ 0x0D21_5EED) ^ (lane as u32).wrapping_mul(0x9E37_79B9)
 }
 
 /// Why a corpus entry failed conformance.
@@ -228,128 +221,6 @@ pub fn verify_workload(def: &WorkloadDef) -> Result<VerifiedSweep, ConformanceEr
         census: reference.census,
         runs,
     })
-}
-
-/// Outcome of one batched run over one corpus entry: per-lane observables.
-#[derive(Debug, Clone)]
-pub struct BatchRunResult {
-    /// Each lane's FNV-1a digest over its per-tick rasters and final
-    /// census, in lane order. Lane 0's equals the entry's pinned checksum.
-    pub lane_checksums: Vec<u64>,
-    /// Each lane's final event census, in lane order.
-    pub lane_censuses: Vec<EventCensus>,
-}
-
-/// Runs one corpus entry through the batched backend with `lanes`
-/// replicas: lane 0 consumes the canonical drive stream, every further
-/// lane a salted one ([`lane_drive_seed`]), and the entry's fault overlay
-/// is armed on the prototype so all lanes share it (and stay on the fused
-/// path).
-///
-/// # Panics
-///
-/// Panics if `lanes` is outside `1..=64` or a lane's tick fails.
-pub fn run_batch_variant(def: &WorkloadDef, lanes: usize) -> BatchRunResult {
-    run_batch_variant_threads(def, lanes, 1)
-}
-
-/// [`run_batch_variant`] with an explicit Phase B worker-thread count for
-/// every lane — the differential suite sweeps this to prove lane routing
-/// is thread-count invariant exactly like solo routing.
-///
-/// # Panics
-///
-/// As for [`run_batch_variant`].
-pub fn run_batch_variant_threads(
-    def: &WorkloadDef,
-    lanes: usize,
-    threads: usize,
-) -> BatchRunResult {
-    let (mut proto, _) = build_workload(def, EvalStrategy::Swar, CoreScheduling::Sweep, threads);
-    if let Some(plan) = def.fault_plan() {
-        proto.set_fault_plan(&plan);
-    }
-    let mut batch = ChipBatch::new_replicas(&proto, lanes).expect("lane count in 1..=64");
-    let mut noises: Vec<Lfsr> = (0..lanes)
-        .map(|lane| Lfsr::new(lane_drive_seed(def, lane)))
-        .collect();
-    let mut hashes: Vec<Fnv1a> = vec![Fnv1a::new(); lanes];
-    let structured = def.structured();
-    let width = def.width;
-    for _ in 0..def.ticks {
-        let t = batch.now();
-        for (lane, noise) in noises.iter_mut().enumerate() {
-            let chip = batch.lane_mut(lane);
-            for index in 0..structured {
-                crate::drive_core(chip, noise, index % width, index / width, def.drive_rate, t);
-            }
-        }
-        let summaries = batch.try_tick().expect("batch tick succeeds");
-        for (hash, summary) in hashes.iter_mut().zip(&summaries) {
-            hash.write_summary(summary);
-        }
-    }
-    let lane_censuses: Vec<EventCensus> =
-        (0..lanes).map(|lane| batch.lane(lane).census()).collect();
-    for (hash, census) in hashes.iter_mut().zip(&lane_censuses) {
-        hash.write_census(census);
-    }
-    BatchRunResult {
-        lane_checksums: hashes.iter().map(Fnv1a::finish).collect(),
-        lane_censuses,
-    }
-}
-
-/// The batch conformance gate: runs the entry through the batched backend
-/// and proves **every lane** bit-identical (checksum and census) to a solo
-/// chip consuming the same drive stream, and lane 0 equal to the entry's
-/// pinned checksum.
-pub fn verify_batch_workload(
-    def: &WorkloadDef,
-    lanes: usize,
-) -> Result<BatchRunResult, ConformanceError> {
-    verify_batch_workload_threads(def, lanes, 1)
-}
-
-/// [`verify_batch_workload`] at an explicit worker-thread count (both the
-/// batch lanes and their solo twins run Phase B with `threads` workers).
-pub fn verify_batch_workload_threads(
-    def: &WorkloadDef,
-    lanes: usize,
-    threads: usize,
-) -> Result<BatchRunResult, ConformanceError> {
-    let result = run_batch_variant_threads(def, lanes, threads);
-    let solo = Variant {
-        strategy: EvalStrategy::Swar,
-        scheduling: CoreScheduling::Sweep,
-        threads,
-        telemetry: false,
-    };
-    for lane in 0..lanes {
-        let twin = run_variant_with_drive(def, &solo, lane_drive_seed(def, lane));
-        if result.lane_checksums[lane] != twin.checksum || result.lane_censuses[lane] != twin.census
-        {
-            return Err(ConformanceError::Diverged {
-                workload: def.name.to_string(),
-                variant: format!("batch{lanes}_lane{lane}"),
-                reference: twin.checksum,
-                got: result.lane_checksums[lane],
-            });
-        }
-        if twin.census.spikes == 0 {
-            return Err(ConformanceError::Silent {
-                workload: def.name.to_string(),
-            });
-        }
-    }
-    if def.checksum != Some(result.lane_checksums[0]) {
-        return Err(ConformanceError::Pin {
-            workload: def.name.to_string(),
-            pinned: def.checksum,
-            computed: result.lane_checksums[0],
-        });
-    }
-    Ok(result)
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use batch::{BatchError, BatchTickError, ChipBatch};
 pub use builder::{ChipBuildError, ChipBuilder};
-pub use chip::{Chip, InjectError, Steppable, TickError, TickSummary};
+pub use chip::{Chip, InjectError, TickError, TickSummary};
 pub use config::{ChipConfig, CoreScheduling, TileConfig};
 pub use snapshot::{Snapshot, TelemetrySnapshot};
 

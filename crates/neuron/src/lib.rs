@@ -67,8 +67,8 @@ pub use config::{
     ConfigError, NegativeThresholdMode, NeuronConfig, NeuronConfigBuilder, ResetMode,
 };
 pub use deterministic::{
-    deterministic_quiescent, deterministic_scan_uniform, deterministic_scan_uniform_lanes,
-    deterministic_tick, DeterministicParams, LaneScan, SCAN_FIRED, SCAN_UNSETTLED,
+    deterministic_quiescent, deterministic_scan_uniform, deterministic_tick, DeterministicParams,
+    SCAN_FIRED, SCAN_UNSETTLED,
 };
 pub use lfsr::Lfsr;
 pub use neuron::{Neuron, TickOutcome, POTENTIAL_MAX, POTENTIAL_MIN};

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use brainsim_chip::{Chip, Steppable};
+use brainsim_chip::Chip;
 
 use crate::config::BudgetMeter;
 
@@ -238,9 +238,9 @@ impl Session {
     }
 
     /// Drives the session's chip for one round: per tick, applies every
-    /// queued command that has come due, evaluates the tick through the
-    /// [`Steppable`] seam, folds the checksum, and meters the tick
-    /// against the plan's budget. Stops early on a contained core panic.
+    /// queued command that has come due, evaluates the tick, folds the
+    /// checksum, and meters the tick against the plan's budget. Stops
+    /// early on a contained core panic.
     pub(crate) fn drive(&mut self, plan: &RoundPlan) -> DriveOutcome {
         let mut out = DriveOutcome::default();
         let Session {
@@ -251,22 +251,21 @@ impl Session {
             metrics,
             ..
         } = self;
-        let stepper: &mut dyn Steppable = chip;
         for _ in 0..plan.ticks {
-            let now = stepper.now();
+            let now = chip.now();
             while queue.front().is_some_and(|front| front.target_tick <= now) {
                 let Some(cmd) = queue.pop_front() else { break };
                 if cmd.target_tick < now {
                     metrics.stale_dropped += 1;
                     continue;
                 }
-                match stepper.inject_word(cmd.x, cmd.y, cmd.word, cmd.bits, cmd.target_tick) {
+                match chip.inject_word(cmd.x, cmd.y, cmd.word, cmd.bits, cmd.target_tick) {
                     Ok(()) => inject_log.push(cmd),
                     Err(_) => metrics.inject_rejected += 1,
                 }
             }
             let started = Instant::now();
-            match stepper.try_tick() {
+            match chip.try_tick() {
                 Ok(summary) => {
                     let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     let cost = summary.cores_evaluated + summary.spikes;

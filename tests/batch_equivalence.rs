@@ -1,92 +1,29 @@
-//! Differential proof that the batched many-chip backend is unobservable:
-//! for every `batch` corpus entry, every lane of a `ChipBatch` — each lane
-//! consuming its own salted drive stream — produces the bit-identical
-//! per-tick raster checksum and final event census of a solo `Chip` run
-//! with the same seed, drive, and fault plan, at every Phase B worker
-//! count, and lane 0 (the canonical stream) reproduces the entry's pinned
-//! checksum. The per-lane fault-plan case also runs with scalar-oracle
-//! lanes, whose cores are never fusible, proving the solo-degraded batch
-//! walk is equally faithful.
-//!
-//! Set `BRAINSIM_TEST_THREADS` to add an extra thread count to the matrix
-//! (the CI `test` job runs the suite with 1, 8 and 2).
+//! `ChipBatch` lanes are independent chips that share immutable crossbar
+//! storage: a lane carrying its own fault plan — including one that burns
+//! synapse faults and so must copy-on-write its arena slice — stays
+//! bit-identical to a solo `Chip` with the same seed, drive and plan, and
+//! leaves its sibling clones bit-identical to theirs: per-tick summaries,
+//! final census, fault statistics, telemetry records and checkpoint bytes,
+//! under both the `Swar` kernel and the `Sparse` scalar oracle.
 
 use brainsim::chip::{ChipBatch, TelemetryConfig};
 use brainsim::core::EvalStrategy;
 use brainsim::faults::FaultPlan;
-use brainsim_bench::corpus::{self, WorkloadDef};
+use brainsim_bench::corpus;
 use brainsim_bench::sweep;
-
-/// The lane-differential subset of `corpus::test_defs`: in release every
-/// entry but `nemo_64x64_full`, in debug the two 8×8 smoke shapes.
-fn batch_defs() -> Vec<WorkloadDef> {
-    let mut defs = corpus::test_defs();
-    defs.retain(|d| d.batch);
-    defs
-}
-
-/// Thread counts under test: serial and a small pool, plus whatever the
-/// CI matrix injects via `BRAINSIM_TEST_THREADS`.
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2];
-    if let Some(n) = std::env::var("BRAINSIM_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        if !counts.contains(&n) {
-            counts.push(n);
-        }
-    }
-    counts
-}
-
-#[test]
-fn every_lane_matches_its_solo_twin_at_eight_lanes() {
-    for def in batch_defs() {
-        let verified = sweep::verify_batch_workload(&def, 8)
-            .unwrap_or_else(|e| panic!("batch conformance failure: {e}"));
-        assert_eq!(
-            Some(verified.lane_checksums[0]),
-            def.checksum,
-            "{}: lane 0 drifted from the pinned checksum",
-            def.name
-        );
-        assert_eq!(verified.lane_checksums.len(), 8);
-        // Salted drive streams must actually differ — identical lanes
-        // would make the differential vacuous.
-        assert!(
-            verified.lane_checksums.windows(2).any(|w| w[0] != w[1]),
-            "{}: all lanes produced identical runs",
-            def.name
-        );
-    }
-}
-
-#[test]
-fn lane_identity_is_thread_count_invariant() {
-    // One representative entry per thread count keeps the suite
-    // tier-1-sized; the 8-lane sweep above covers every `batch` entry.
-    let def = batch_defs().remove(0);
-    for threads in thread_counts() {
-        sweep::verify_batch_workload_threads(&def, 2, threads)
-            .unwrap_or_else(|e| panic!("batch conformance failure at t{threads}: {e}"));
-    }
-}
 
 #[test]
 fn per_lane_fault_plans_diverge_without_breaking_identity() {
     // Distinct fault plans per lane: lane 0 clean, lane 1 crossbar-burning
     // synapse faults, lane 2 dead/stuck neurons + link drops. Every lane
-    // must still equal a solo chip carrying the same plan and drive — on
-    // the fused SWAR path and with `Sparse` lanes, where no core is fusible
-    // and the whole batch walk degrades to solo ticks.
+    // must still equal a solo chip carrying the same plan and drive.
     for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
         per_lane_fault_plans_stay_bit_identical(strategy);
     }
 }
 
 fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
-    let def = batch_defs().remove(0);
+    let def = corpus::test_defs().remove(0);
     let plans: [Option<FaultPlan>; 3] = [
         None,
         Some(
@@ -102,21 +39,14 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
         ),
     ];
 
-    let build = || {
-        brainsim_bench::corpus::build_workload(
-            &def,
-            strategy,
-            brainsim::chip::CoreScheduling::Sweep,
-            1,
-        )
-        .0
-    };
+    let build =
+        || corpus::build_workload(&def, strategy, brainsim::chip::CoreScheduling::Sweep, 1).0;
     let proto = build();
     let mut batch = ChipBatch::new_replicas(&proto, plans.len()).expect("batch");
     let mut twins: Vec<brainsim::chip::Chip> = (0..plans.len()).map(|_| build()).collect();
     for (lane, plan) in plans.iter().enumerate() {
         if let Some(plan) = plan {
-            batch.set_fault_plan_lane(lane, plan);
+            batch.lane_mut(lane).set_fault_plan(plan);
             twins[lane].set_fault_plan(plan);
         }
     }
@@ -169,7 +99,6 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
             );
         }
     }
-    assert!(batch.lane_diverged(1), "synapse faults must diverge lane 1");
     for (lane, twin) in twins.iter().enumerate() {
         assert_eq!(batch.lane(lane).census(), twin.census(), "lane {lane}");
         assert_eq!(
@@ -185,7 +114,7 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
             assert_eq!(a, b, "lane {lane} telemetry records diverged");
         }
         assert_eq!(
-            batch.checkpoint_lane(lane).to_bytes(),
+            batch.lane(lane).checkpoint().to_bytes(),
             twin.checkpoint().to_bytes(),
             "lane {lane} full state diverged"
         );

@@ -86,7 +86,7 @@ fn optimized_core_is_bit_identical_to_golden_model() {
             for uniform in [false, true] {
                 let (mut core, mut golden) = random_pair(seed, strategy, uniform);
                 assert_eq!(
-                    core.fusible_uniform(),
+                    core.on_population_scan(),
                     uniform && strategy == EvalStrategy::Swar,
                     "only the uniform Swar core takes the population scan"
                 );

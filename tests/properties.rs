@@ -646,7 +646,6 @@ fn arb_workload_def() -> impl Strategy<Value = WorkloadDef> {
                 ticks: 10,
                 overlay,
                 smoke: true,
-                batch: false,
                 checksum: None,
             },
         )
@@ -727,7 +726,7 @@ proptest! {
     /// its own — every `ChipBatch` lane is bit-identical to a solo chip
     /// with the same seed, drive, and plans: per-tick summaries, final
     /// census, fault statistics, and full checkpoint bytes. Midway, every
-    /// lane is round-tripped through `checkpoint_lane`/`restore_lane` and
+    /// lane is round-tripped through `checkpoint`/`restore_lane` and
     /// every twin through `checkpoint`/`restore`, which must neither
     /// break lockstep nor open any lane-vs-twin gap. (Both sides restore
     /// because a restore re-arms the link injector from the retained —
@@ -744,15 +743,14 @@ proptest! {
         if let Some(plan) = def.fault_plan() {
             proto.set_fault_plan(&plan);
         }
-        let mut batch = ChipBatch::new_replicas(&proto, lanes)
-            .expect("lane count in 1..=64");
+        let mut batch = ChipBatch::new_replicas(&proto, lanes).expect("at least one lane");
         let mut twins: Vec<Chip> = vec![proto.clone(); lanes];
-        // The last lane additionally burns its own synapse faults — the
-        // divergence case that must fall back to the solo path unfused.
+        // The last lane additionally burns its own synapse faults: its
+        // crossbars detach from the storage the other lanes share.
         let extra = FaultPlan::new(u64::from(def.seed) ^ 0x0BAD_CAB1E)
             .with_synapse_stuck_one(0.02)
             .with_synapse_stuck_zero(0.02);
-        batch.set_fault_plan_lane(lanes - 1, &extra);
+        batch.lane_mut(lanes - 1).set_fault_plan(&extra);
         twins[lanes - 1].set_fault_plan(&extra);
 
         let mut noises: Vec<Lfsr> = (0..lanes)
@@ -762,7 +760,7 @@ proptest! {
         for tick in 0..def.ticks {
             if tick == def.ticks / 2 {
                 for (lane, twin) in twins.iter_mut().enumerate() {
-                    let snap = batch.checkpoint_lane(lane);
+                    let snap = batch.lane(lane).checkpoint();
                     prop_assert!(batch.restore_lane(lane, snap).is_ok());
                     let twin_snap = twin.checkpoint();
                     *twin = Chip::restore(twin_snap).expect("twin restores");
@@ -802,7 +800,7 @@ proptest! {
             prop_assert_eq!(batch.lane(lane).census(), twin.census());
             prop_assert_eq!(batch.lane(lane).fault_stats(), twin.fault_stats());
             prop_assert_eq!(
-                batch.checkpoint_lane(lane).to_bytes(),
+                batch.lane(lane).checkpoint().to_bytes(),
                 twin.checkpoint().to_bytes(),
                 "lane {} full state diverged from its solo twin",
                 lane
