@@ -200,13 +200,9 @@ fn f3_throughput_scaling() {
         }
     }
     println!("(syn/float = ratio of synaptic-event throughput, chip model vs plain");
-    println!(" float simulator. The hardware-faithful model pays a bounded 10-40%");
-    println!(" bookkeeping overhead in exchange for bit-exact hardware equivalence");
-    println!(" and event-level energy accounting; both scale linearly in cores, and");
-    println!(" chip cost is activity-proportional (tick/s grows ~5x when the rate");
-    println!(" drops 10x) while the clock-driven baseline has a rate-independent");
-    println!(" floor. The tick barrier also makes the sweep embarrassingly parallel");
-    println!(" — bit-identical across thread counts (tested); this host is 1-core.)");
+    println!(" float simulator; above 1 the chip model is ahead. Both scale linearly");
+    println!(" in cores, and chip cost is activity-proportional: tick/s grows 4-5x");
+    println!(" when the rate drops 10x, the clock-driven baseline's about 2x.)");
 }
 
 /// F4 — NoC latency vs injection rate.

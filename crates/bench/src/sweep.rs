@@ -1,34 +1,42 @@
-//! The differential conformance layer: runs a corpus entry across the full
-//! {eval strategy × scheduler × thread count} matrix and proves every run
+//! The differential conformance layer: runs a corpus entry on the production
+//! configuration and on each single-axis departure from it — thread count,
+//! kernel oracle, scheduler oracle, telemetry — and proves every run
 //! bit-identical to the others and to the entry's pinned checksum.
 
-use brainsim_chip::{CoreScheduling, TelemetryConfig};
+use brainsim_chip::TelemetryConfig;
 use brainsim_core::EvalStrategy;
 use brainsim_energy::EventCensus;
 use brainsim_neuron::Lfsr;
 
-use crate::corpus::{build_workload, Fnv1a, WorkloadDef};
+use crate::corpus::{workload_builder, Fnv1a, WorkloadDef};
 
 /// One simulator configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
     /// Core evaluation strategy.
     pub strategy: EvalStrategy,
-    /// Core scheduling mode.
-    pub scheduling: CoreScheduling,
+    /// Scheduler oracle: evaluate every core every tick
+    /// (`ChipBuilder::sweep_reference`) instead of the active set.
+    pub sweep: bool,
     /// Worker threads.
     pub threads: usize,
-    /// Whether telemetry instrumentation is enabled (overhead probe).
+    /// Whether telemetry instrumentation is enabled.
     pub telemetry: bool,
 }
 
 impl Variant {
+    /// What a default-configured chip runs: the SWAR kernel under
+    /// active-core scheduling, one thread, telemetry off.
+    pub const PRODUCTION: Variant = Variant {
+        strategy: EvalStrategy::Swar,
+        sweep: false,
+        threads: 1,
+        telemetry: false,
+    };
+
     /// Stable label, e.g. `sweep_swar_t1` or `active_sparse_t8`.
     pub fn label(&self) -> String {
-        let sched = match self.scheduling {
-            CoreScheduling::Sweep => "sweep",
-            CoreScheduling::Active => "active",
-        };
+        let sched = if self.sweep { "sweep" } else { "active" };
         let strat = match self.strategy {
             EvalStrategy::Swar => "swar",
             EvalStrategy::Sparse => "sparse",
@@ -38,31 +46,31 @@ impl Variant {
     }
 }
 
-/// The full conformance matrix every corpus entry must pass: {Swar, Sparse
-/// scalar oracle} × {Sweep, Active} × threads {1, 8}, plus the
-/// telemetry-instrumented probe. 9 runs per entry, all required to be
+/// The conformance matrix every corpus entry must pass: production plus
+/// one axis at a time — 8 threads, the scalar kernel oracle, the sweep
+/// scheduler oracle, telemetry on. 5 runs per entry, all required to be
 /// bit-identical.
 pub fn conformance_matrix() -> Vec<Variant> {
-    let mut m = Vec::with_capacity(9);
-    for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
-        for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
-            for threads in [1, 8] {
-                m.push(Variant {
-                    strategy,
-                    scheduling,
-                    threads,
-                    telemetry: false,
-                });
-            }
-        }
-    }
-    m.push(Variant {
-        strategy: EvalStrategy::Swar,
-        scheduling: CoreScheduling::Sweep,
-        threads: 1,
-        telemetry: true,
-    });
-    m
+    let production = Variant::PRODUCTION;
+    vec![
+        production,
+        Variant {
+            threads: 8,
+            ..production
+        },
+        Variant {
+            strategy: EvalStrategy::Sparse,
+            ..production
+        },
+        Variant {
+            sweep: true,
+            ..production
+        },
+        Variant {
+            telemetry: true,
+            ..production
+        },
+    ]
 }
 
 /// Outcome of one variant run over one corpus entry.
@@ -79,7 +87,11 @@ pub struct RunResult {
 /// overlay, drives the seeded stimulus for `def.ticks` ticks and folds the
 /// per-tick raster into the checksum.
 pub fn run_variant(def: &WorkloadDef, variant: &Variant) -> RunResult {
-    let (mut chip, _) = build_workload(def, variant.strategy, variant.scheduling, variant.threads);
+    let (mut builder, _) = workload_builder(def, variant.strategy, variant.threads, false);
+    if variant.sweep {
+        builder.sweep_reference();
+    }
+    let mut chip = builder.build().expect("corpus workload builds");
     if let Some(plan) = def.fault_plan() {
         chip.set_fault_plan(&plan);
     }
@@ -230,36 +242,47 @@ mod tests {
     #[test]
     fn matrix_covers_required_space() {
         let m = conformance_matrix();
-        assert_eq!(m.len(), 9);
-        for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
-            for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
-                for threads in [1, 8] {
-                    assert!(
-                        m.iter().any(|v| v.strategy == strategy
-                            && v.scheduling == scheduling
-                            && v.threads == threads),
-                        "matrix misses {strategy:?}/{scheduling:?}/t{threads}"
-                    );
-                }
-            }
+        let labels: Vec<String> = m.iter().map(Variant::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "active_swar_t1",
+                "active_swar_t8",
+                "active_sparse_t1",
+                "sweep_swar_t1",
+                "active_swar_t1_telemetry",
+            ]
+        );
+        // Production plus one axis at a time: a divergence names its axis.
+        let p = Variant::PRODUCTION;
+        assert_eq!(m[0], p);
+        for v in &m[1..] {
+            let departures = [
+                v.strategy != p.strategy,
+                v.sweep != p.sweep,
+                v.threads != p.threads,
+                v.telemetry != p.telemetry,
+            ];
+            assert_eq!(
+                departures.iter().filter(|&&d| d).count(),
+                1,
+                "{} must differ from production on exactly one field",
+                v.label()
+            );
         }
-        assert!(m.iter().any(|v| v.telemetry));
     }
 
     #[test]
     fn variant_labels_are_stable() {
         let v = Variant {
-            strategy: EvalStrategy::Swar,
-            scheduling: CoreScheduling::Active,
             threads: 8,
-            telemetry: false,
+            ..Variant::PRODUCTION
         };
         assert_eq!(v.label(), "active_swar_t8");
         let t = Variant {
-            strategy: EvalStrategy::Swar,
-            scheduling: CoreScheduling::Sweep,
-            threads: 1,
+            sweep: true,
             telemetry: true,
+            ..Variant::PRODUCTION
         };
         assert_eq!(t.label(), "sweep_swar_t1_telemetry");
     }

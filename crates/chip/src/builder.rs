@@ -67,6 +67,7 @@ impl std::error::Error for ChipBuildError {}
 pub struct ChipBuilder {
     config: ChipConfig,
     cores: Vec<CoreBuilder>,
+    sweep_reference: bool,
 }
 
 impl ChipBuilder {
@@ -92,7 +93,22 @@ impl ChipBuilder {
                 b
             })
             .collect();
-        ChipBuilder { config, cores }
+        ChipBuilder {
+            config,
+            cores,
+            sweep_reference: false,
+        }
+    }
+
+    /// Test-only: builds the scheduler oracle, a chip that evaluates every
+    /// core every tick instead of the active set. Bit-identical to the
+    /// production scheduler by construction — the differential suites
+    /// prove it — and never serialised: a checkpoint of such a chip
+    /// restores onto the production scheduler.
+    #[doc(hidden)]
+    pub fn sweep_reference(&mut self) -> &mut Self {
+        self.sweep_reference = true;
+        self
     }
 
     /// The chip configuration.
@@ -124,7 +140,7 @@ impl ChipBuilder {
         let mut cores: Vec<_> = self.cores.iter().map(CoreBuilder::build).collect();
         validate_wiring(&self.config, &cores)?;
         pack_cores(&mut cores);
-        Ok(Chip::from_parts(self.config, cores))
+        Ok(Chip::from_parts(self.config, cores, self.sweep_reference))
     }
 }
 

@@ -17,24 +17,6 @@ pub struct TileConfig {
     pub link_latency: u8,
 }
 
-/// How the chip selects which cores to evaluate each tick.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoreScheduling {
-    /// Active-core scheduling (the default): cores that are provably
-    /// quiescent — no pending scheduler events and a cached zero-input
-    /// fixed point ([`brainsim_core::NeurosynapticCore::is_quiescent`]) —
-    /// are skipped in O(1) per tick instead of paying a full evaluation
-    /// sweep. Results (rasters, outputs, statistics, LFSR streams) are
-    /// bit-identical to [`CoreScheduling::Sweep`] by construction; the
-    /// differential test suite proves it.
-    #[default]
-    Active,
-    /// Reference behaviour: evaluate every core every tick, as the seed
-    /// implementation did. Kept as the obviously-correct baseline for
-    /// equivalence testing and as the benchmark's serial reference.
-    Sweep,
-}
-
 /// Static parameters of a chip instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChipConfig {
@@ -52,10 +34,6 @@ pub struct ChipConfig {
     /// Threads parallelise both Phase A (core evaluation) and Phase B
     /// (spike routing) of the tick.
     pub threads: usize,
-    /// Which cores are evaluated each tick (quiescence skipping vs full
-    /// sweep). Either choice is bit-identical; `Active` is faster on any
-    /// workload with idle cores.
-    pub scheduling: CoreScheduling,
     /// Multi-chip tiling, if the grid spans several physical chips.
     pub tile: Option<TileConfig>,
 }
@@ -69,7 +47,6 @@ impl Default for ChipConfig {
             core_neurons: 256,
             seed: 0x5EED_C0DE,
             threads: 1,
-            scheduling: CoreScheduling::default(),
             tile: None,
         }
     }

@@ -63,7 +63,7 @@ pub mod trace;
 pub use batch::{BatchError, BatchTickError, ChipBatch};
 pub use builder::{ChipBuildError, ChipBuilder};
 pub use chip::{Chip, InjectError, TickError, TickSummary};
-pub use config::{ChipConfig, CoreScheduling, TileConfig};
+pub use config::{ChipConfig, TileConfig};
 pub use snapshot::{Snapshot, TelemetrySnapshot};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so

@@ -17,14 +17,12 @@
 //! | `cores`     | one [`brainsim_core::CoreState`] per core, row-major   |
 //! | `faults`    | the retained [`FaultPlan`] (optional)                  |
 //! | `telemetry` | [`TelemetrySnapshot`]: config, evictions, run summary  |
-//! | `noc`       | standalone [`brainsim_noc::NocState`] (optional)       |
 //! | `app`       | opaque harness payload, e.g. a running checksum        |
 
 use std::path::Path;
 
 use brainsim_core::CoreState;
 use brainsim_faults::{FaultPlan, FaultStats};
-use brainsim_noc::NocState;
 use brainsim_snapshot::codec;
 use brainsim_snapshot::wire::{Reader, WireError, Writer};
 use brainsim_snapshot::{
@@ -33,7 +31,7 @@ use brainsim_snapshot::{
 };
 use brainsim_telemetry::{RunSummary, TelemetryConfig};
 
-use crate::config::{ChipConfig, CoreScheduling, TileConfig};
+use crate::config::{ChipConfig, TileConfig};
 
 /// The telemetry image a snapshot carries: enough to resume collection
 /// without double-counting. The record ring is deliberately *not*
@@ -55,11 +53,10 @@ pub struct TelemetrySnapshot {
 /// Produced by [`crate::Chip::checkpoint`]; consumed by
 /// [`crate::Chip::restore`]. Restoring and continuing yields the
 /// bit-identical event stream an uninterrupted run produces, at any thread
-/// count, under either scheduler, on the SWAR kernel or the scalar oracle.
+/// count, on the SWAR kernel or the scalar oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// The chip configuration (restored verbatim, including thread count
-    /// and scheduling mode).
+    /// The chip configuration (restored verbatim, including thread count).
     pub config: ChipConfig,
     /// The next tick to evaluate.
     pub now: u64,
@@ -79,9 +76,6 @@ pub struct Snapshot {
     pub plan: Option<FaultPlan>,
     /// Telemetry image, when telemetry was enabled.
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Standalone mesh-NoC state, for cycle-accurate harnesses that
-    /// checkpoint a [`brainsim_noc::MeshNoc`] alongside the chip.
-    pub noc: Option<NocState>,
     /// Opaque application payload (e.g. a harness's running output
     /// checksum); empty when unused.
     pub app: Vec<u8>,
@@ -98,10 +92,10 @@ fn write_chip_config(w: &mut Writer, c: &ChipConfig) {
     // checkpoints remain readable, and the reader refuses any other value.
     w.u8(0);
     w.usize(c.threads);
-    w.u8(match c.scheduling {
-        CoreScheduling::Active => 0,
-        CoreScheduling::Sweep => 1,
-    });
+    // Reserved: the scheduling tag. Active-core scheduling is tag 0 and
+    // the only scheduler a chip is configured with; the byte stays so the
+    // layout and existing checkpoints do not move.
+    w.u8(0);
     match c.tile {
         None => w.bool(false),
         Some(t) => {
@@ -120,18 +114,20 @@ fn read_chip_config(r: &mut Reader) -> Result<ChipConfig, WireError> {
     if r.u8()? != 0 {
         return Err(WireError::Malformed("semantics tag"));
     }
+    let threads = r.usize()?;
+    // Tag 1 is the full sweep an older writer could be configured with. Its
+    // checkpoints carry eager per-core clocks — exactly what the production
+    // scheduler's checkpoints virtualise — so they restore onto it as is.
+    if r.u8()? > 1 {
+        return Err(WireError::Malformed("scheduling tag"));
+    }
     Ok(ChipConfig {
         width,
         height,
         core_axons,
         core_neurons,
         seed,
-        threads: r.usize()?,
-        scheduling: match r.u8()? {
-            0 => CoreScheduling::Active,
-            1 => CoreScheduling::Sweep,
-            _ => return Err(WireError::Malformed("scheduling tag")),
-        },
+        threads,
         tile: if r.bool()? {
             Some(TileConfig {
                 width: r.usize()?,
@@ -161,7 +157,7 @@ fn decode_section<T>(
 impl Snapshot {
     /// Encodes the snapshot into the versioned, checksummed container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::with_capacity(7);
+        let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::with_capacity(6);
 
         let mut w = Writer::new();
         write_chip_config(&mut w, &self.config);
@@ -193,11 +189,6 @@ impl Snapshot {
             w.u64(t.evicted);
             codec::write_run_summary(&mut w, &t.summary);
             sections.push((SectionId::Telemetry, w.into_bytes()));
-        }
-        if let Some(noc) = &self.noc {
-            let mut w = Writer::new();
-            codec::write_noc_state(&mut w, noc);
-            sections.push((SectionId::Noc, w.into_bytes()));
         }
         if !self.app.is_empty() {
             sections.push((SectionId::App, self.app.clone()));
@@ -256,9 +247,6 @@ impl Snapshot {
                 })
             })
             .transpose()?;
-        let noc = find(SectionId::Noc)
-            .map(|p| decode_section(SectionId::Noc, p, codec::read_noc_state))
-            .transpose()?;
         let app = find(SectionId::App).map(<[u8]>::to_vec).unwrap_or_default();
 
         Ok(Snapshot {
@@ -271,7 +259,6 @@ impl Snapshot {
             cores,
             plan,
             telemetry,
-            noc,
             app,
         })
     }
@@ -340,7 +327,6 @@ mod tests {
             cores: Vec::new(),
             plan: Some(FaultPlan::new(9).with_link_drop(0.25)),
             telemetry: None,
-            noc: None,
             app: b"checksum".to_vec(),
         }
     }
@@ -378,6 +364,46 @@ mod tests {
             Err(RestoreError::Malformed {
                 section: SectionId::Config,
                 what: "trailing bytes"
+            })
+        );
+    }
+
+    #[test]
+    fn sweep_written_scheduling_tag_restores_onto_the_production_scheduler() {
+        // A relay chain with idle gaps, once on the production scheduler
+        // and once on the sweep oracle — whose checkpoint, with the tag
+        // patched to 1, is byte for byte what a writer configured with the
+        // full sweep emitted.
+        let mut b = crate::chip::tests::relay_builder(6, 1);
+        let mut production = b.build().expect("builds");
+        let mut sweep = b.sweep_reference().build().expect("builds");
+        for chip in [&mut production, &mut sweep] {
+            chip.inject(0, 0, 0, 0).expect("inject");
+            chip.inject(0, 0, 0, 4).expect("inject");
+            chip.run(5);
+        }
+        let good = sweep.checkpoint().to_bytes();
+        assert_eq!(good, production.checkpoint().to_bytes());
+
+        // The scheduling byte follows four u64 dimensions, the u32 seed,
+        // the semantics byte and the u64 thread count.
+        let swept = with_patched_section(&good, SectionId::Config, |p| {
+            assert_eq!(p[45], 0, "the writer always emits tag 0");
+            p[45] = 1;
+        });
+        let snapshot = Snapshot::from_bytes(&swept).expect("tag 1 still decodes");
+        let mut resumed = crate::Chip::restore(snapshot).expect("restore");
+        for _ in 0..12 {
+            assert_eq!(resumed.tick(), production.tick());
+        }
+        assert_eq!(resumed.census(), production.census());
+
+        let unknown = with_patched_section(&good, SectionId::Config, |p| p[45] = 2);
+        assert_eq!(
+            Snapshot::from_bytes(&unknown),
+            Err(RestoreError::Malformed {
+                section: SectionId::Config,
+                what: "scheduling tag"
             })
         );
     }

@@ -1,128 +1,8 @@
-//! Trace infrastructure: output-spike recording and per-core activity maps.
+//! Trace infrastructure: per-core activity maps and static link loads.
 
 use serde::{Deserialize, Serialize};
 
-use crate::chip::{Chip, TickSummary};
-
-/// Accumulates the chip's output events over a run.
-///
-/// Unbounded by default; [`OutputTrace::with_capacity`] bounds it to the
-/// most recent `capacity` events, evicting the oldest (amortised O(1),
-/// memory at most 2 × capacity). Evictions are counted in
-/// [`OutputTrace::dropped`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OutputTrace {
-    events: Vec<(u64, u32)>,
-    /// Bound on retained events; `None` keeps everything.
-    capacity: Option<usize>,
-    /// Start of the live window in `events` (evicted prefix not yet
-    /// compacted away).
-    start: usize,
-    dropped: u64,
-}
-
-/// Traces are equal when they would report the same thing: same capacity,
-/// same eviction count, and the same retained events — regardless of how
-/// the internal buffer happens to be compacted.
-impl PartialEq for OutputTrace {
-    fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity
-            && self.dropped == other.dropped
-            && self.events() == other.events()
-    }
-}
-
-impl Eq for OutputTrace {}
-
-impl OutputTrace {
-    /// An empty, unbounded trace.
-    pub fn new() -> OutputTrace {
-        OutputTrace::default()
-    }
-
-    /// An empty trace retaining at most the most recent `capacity` events.
-    pub fn with_capacity(capacity: usize) -> OutputTrace {
-        OutputTrace {
-            capacity: Some(capacity),
-            ..OutputTrace::default()
-        }
-    }
-
-    /// The retention bound, or `None` for an unbounded trace.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Records one tick's outputs.
-    pub fn record(&mut self, summary: &TickSummary) {
-        for &port in &summary.outputs {
-            self.push(summary.tick, port);
-        }
-    }
-
-    fn push(&mut self, tick: u64, port: u32) {
-        self.events.push((tick, port));
-        if let Some(capacity) = self.capacity {
-            if self.len() > capacity {
-                self.start += 1;
-                self.dropped += 1;
-                // Compact once the dead prefix reaches the live window's
-                // size: amortised O(1), memory stays ≤ 2 × capacity.
-                if self.start > capacity {
-                    self.events.drain(..self.start);
-                    self.start = 0;
-                }
-            }
-        }
-    }
-
-    /// The retained `(tick, port)` events in emission order (the oldest may
-    /// have been evicted on a bounded trace — see [`OutputTrace::truncated`]).
-    pub fn events(&self) -> &[(u64, u32)] {
-        &self.events[self.start..]
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len() - self.start
-    }
-
-    /// Whether the trace retains no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted from a bounded trace so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// True when the trace no longer holds the run's full output history.
-    pub fn truncated(&self) -> bool {
-        self.dropped > 0
-    }
-
-    /// Retained events on one port, as spike ticks.
-    pub fn port_ticks(&self, port: u32) -> Vec<u64> {
-        self.events()
-            .iter()
-            .filter(|&&(_, p)| p == port)
-            .map(|&(t, _)| t)
-            .collect()
-    }
-
-    /// Converts the retained events to a dense raster of `ticks × ports`
-    /// booleans.
-    pub fn to_raster(&self, ticks: usize, ports: usize) -> Vec<Vec<bool>> {
-        let mut raster = vec![vec![false; ports]; ticks];
-        for &(t, p) in self.events() {
-            if (t as usize) < ticks && (p as usize) < ports {
-                raster[t as usize][p as usize] = true;
-            }
-        }
-        raster
-    }
-}
+use crate::chip::Chip;
 
 /// Per-core cumulative spike counts, row-major over the grid — the
 /// utilisation map of the F7-style reports.
@@ -266,85 +146,6 @@ mod tests {
             .unwrap();
         b.core_mut(1, 0).synapse(0, 0, true).unwrap();
         b.build().unwrap()
-    }
-
-    #[test]
-    fn trace_records_output_events() {
-        let mut chip = tiny_chip();
-        let mut trace = OutputTrace::new();
-        chip.inject(0, 0, 0, 0).unwrap();
-        chip.inject(1, 0, 0, 1).unwrap();
-        for _ in 0..4 {
-            let summary = chip.tick();
-            trace.record(&summary);
-        }
-        assert_eq!(trace.events(), &[(0, 3), (1, 7)]);
-        assert_eq!(trace.port_ticks(3), vec![0]);
-        assert_eq!(trace.port_ticks(7), vec![1]);
-        let raster = trace.to_raster(4, 8);
-        assert!(raster[0][3] && raster[1][7]);
-        assert_eq!(raster.iter().flatten().filter(|&&s| s).count(), 2);
-    }
-
-    fn summary(tick: u64, outputs: Vec<u32>) -> TickSummary {
-        TickSummary {
-            tick,
-            spikes: outputs.len() as u64,
-            outputs,
-            faults: Default::default(),
-            cores_evaluated: 1,
-        }
-    }
-
-    #[test]
-    fn bounded_trace_evicts_oldest_and_counts() {
-        let mut trace = OutputTrace::with_capacity(3);
-        for t in 0..10 {
-            trace.record(&summary(t, vec![t as u32]));
-        }
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.events(), &[(7, 7), (8, 8), (9, 9)]);
-        assert_eq!(trace.dropped(), 7);
-        assert!(trace.truncated());
-        // Compaction bounds memory at 2 × capacity.
-        assert!(trace.events.len() <= 6);
-        // Port queries and rasters see only the retained window.
-        assert_eq!(trace.port_ticks(2), Vec::<u64>::new());
-        assert_eq!(trace.port_ticks(8), vec![8]);
-        let raster = trace.to_raster(10, 10);
-        assert_eq!(raster.iter().flatten().filter(|&&s| s).count(), 3);
-    }
-
-    #[test]
-    fn unbounded_trace_never_truncates() {
-        let mut trace = OutputTrace::new();
-        for t in 0..100 {
-            trace.record(&summary(t, vec![0]));
-        }
-        assert_eq!(trace.len(), 100);
-        assert!(!trace.truncated());
-        assert_eq!(trace.capacity(), None);
-    }
-
-    #[test]
-    fn zero_capacity_retains_nothing() {
-        let mut trace = OutputTrace::with_capacity(0);
-        trace.record(&summary(0, vec![1, 2]));
-        assert!(trace.is_empty());
-        assert_eq!(trace.dropped(), 2);
-    }
-
-    #[test]
-    fn equality_compares_the_logical_window() {
-        let mut a = OutputTrace::with_capacity(2);
-        let mut b = OutputTrace::with_capacity(2);
-        for t in 0..5 {
-            a.record(&summary(t, vec![9]));
-            b.record(&summary(t, vec![9]));
-        }
-        assert_eq!(a, b);
-        b.record(&summary(5, vec![9]));
-        assert_ne!(a, b);
     }
 
     #[test]

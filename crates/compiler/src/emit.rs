@@ -248,7 +248,6 @@ pub(crate) fn emit(
         core_neurons: options.core_neurons,
         seed: options.seed,
         threads: options.threads,
-        scheduling: options.scheduling,
         tile: None,
     };
     let mut builder = ChipBuilder::new(config);

@@ -63,7 +63,6 @@ mod place;
 
 use std::fmt;
 
-use brainsim_chip::CoreScheduling;
 use brainsim_corelet::LogicalNetwork;
 use serde::{Deserialize, Serialize};
 
@@ -86,9 +85,6 @@ pub struct CompileOptions {
     pub seed: u32,
     /// Worker threads of the emitted chip.
     pub threads: usize,
-    /// Core-evaluation scheduling mode of the emitted chip (bit-identical
-    /// either way; a differential knob for the equivalence suites).
-    pub scheduling: CoreScheduling,
     /// Grid cells that are known-defective and must not host a core —
     /// the yield/defect-tolerance knob of the placement stage. The list is
     /// normalised (sorted, deduplicated) at compile entry; a cell outside
@@ -107,7 +103,6 @@ impl Default for CompileOptions {
             anneal_iters: 10_000,
             seed: 0xC0_FFEE,
             threads: 1,
-            scheduling: CoreScheduling::default(),
             faulty_cells: Vec::new(),
         }
     }

@@ -33,11 +33,9 @@ mod mesh;
 mod packet;
 mod router;
 
-pub use mesh::{
-    DelayedFlit, MeshNoc, NocConfig, NocInjectError, NocState, NocStateError, NocStats,
-};
+pub use mesh::{MeshNoc, NocConfig, NocInjectError, NocStats};
 pub use packet::{Packet, PacketDecodeError};
-pub use router::{Flit, Port, Router, RouterState, RouterStateError, RoutingOrder, PORTS};
+pub use router::{Flit, Port, Router, RoutingOrder, PORTS};
 
 // Re-export the fault vocabulary accepted by `MeshNoc::set_fault_injector`.
 pub use brainsim_faults::{FaultInjector, FaultPlan, FaultStats, OverflowPolicy};

@@ -7,7 +7,7 @@ use brainsim_telemetry::Histogram;
 use serde::{Deserialize, Serialize};
 
 use crate::packet::Packet;
-use crate::router::{Flit, Port, Router, RouterState, RouterStateError, RoutingOrder};
+use crate::router::{Flit, Port, Router, RoutingOrder};
 
 /// Mesh dimensions and buffering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -461,132 +461,6 @@ impl MeshNoc {
         }
         all
     }
-
-    /// Captures the complete runtime image of the mesh: configuration,
-    /// every router's FIFO contents and arbitration pointers, fault-delayed
-    /// flits, the cycle counter and the statistics.
-    ///
-    /// The fault injector is *not* part of the image (it is pure,
-    /// seed-derived state); the restoring side re-arms it from the retained
-    /// [`brainsim_faults::FaultPlan`] via [`MeshNoc::set_fault_injector`].
-    pub fn export_state(&self) -> NocState {
-        NocState {
-            config: self.config,
-            routers: self.routers.iter().map(Router::export_state).collect(),
-            now: self.now,
-            stats: self.stats,
-            delayed: self
-                .delayed
-                .iter()
-                .map(|&(release_at, router, port, flit)| DelayedFlit {
-                    release_at,
-                    router,
-                    port,
-                    flit,
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a mesh from an exported image.
-    ///
-    /// Every field is validated — dimensions, router count, FIFO lengths
-    /// against the configured capacity, arbitration pointers, delayed-flit
-    /// indices — so corrupted state yields a typed error, never a panic.
-    /// A restored mesh continues cycle-identically to the original (re-arm
-    /// the fault injector first when the run used link faults).
-    ///
-    /// # Errors
-    ///
-    /// [`NocStateError`] naming the failed check.
-    pub fn import_state(state: &NocState) -> Result<MeshNoc, NocStateError> {
-        let config = state.config;
-        if config.width == 0 || config.height == 0 {
-            return Err(NocStateError::Shape("zero mesh dimension"));
-        }
-        if config.fifo_capacity == 0 {
-            return Err(NocStateError::Shape("zero FIFO capacity"));
-        }
-        if state.routers.len() != config.width * config.height {
-            return Err(NocStateError::Shape("router count"));
-        }
-        for d in &state.delayed {
-            if d.router >= state.routers.len() {
-                return Err(NocStateError::Shape("delayed-flit router index"));
-            }
-        }
-        let routers = state
-            .routers
-            .iter()
-            .map(|r| Router::import_state(config.fifo_capacity, r))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MeshNoc {
-            config,
-            routers,
-            now: state.now,
-            stats: state.stats,
-            injector: None,
-            delayed: state
-                .delayed
-                .iter()
-                .map(|d| (d.release_at, d.router, d.port, d.flit))
-                .collect(),
-        })
-    }
-}
-
-/// A flit held back by a fault-injected delay, in serializable form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DelayedFlit {
-    /// Cycle at which the flit re-enters its target FIFO.
-    pub release_at: u64,
-    /// Target router index (row-major).
-    pub router: usize,
-    /// Target input port.
-    pub port: Port,
-    /// The held flit.
-    pub flit: Flit,
-}
-
-/// Complete runtime image of a [`MeshNoc`]; see [`MeshNoc::export_state`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NocState {
-    /// Mesh configuration.
-    pub config: NocConfig,
-    /// Per-router state, row-major.
-    pub routers: Vec<RouterState>,
-    /// Cycles elapsed.
-    pub now: u64,
-    /// Aggregate statistics.
-    pub stats: NocStats,
-    /// Flits held back by delay faults.
-    pub delayed: Vec<DelayedFlit>,
-}
-
-/// Error from [`MeshNoc::import_state`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NocStateError {
-    /// A router image failed validation.
-    Router(RouterStateError),
-    /// A dimension, count or index is inconsistent.
-    Shape(&'static str),
-}
-
-impl fmt::Display for NocStateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NocStateError::Router(e) => write!(f, "router state rejected: {e}"),
-            NocStateError::Shape(what) => write!(f, "malformed mesh state: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for NocStateError {}
-
-impl From<RouterStateError> for NocStateError {
-    fn from(e: RouterStateError) -> NocStateError {
-        NocStateError::Router(e)
-    }
 }
 
 #[cfg(test)]
@@ -915,97 +789,5 @@ mod tests {
         assert!((s.mean_hops() - 2.0).abs() < 1e-9);
         assert!(s.mean_latency() >= 3.0);
         assert_eq!(s.in_flight(), 0);
-    }
-
-    #[test]
-    fn state_round_trip_mid_flight() {
-        use brainsim_faults::{FaultInjector, FaultPlan};
-        let plan = FaultPlan::new(21)
-            .with_link_delay(0.4, 3)
-            .with_link_corrupt(0.1);
-        let mut noc = mesh(4, 4);
-        noc.set_fault_injector(FaultInjector::new(&plan));
-        for y in 0..4i16 {
-            for x in 0..4i16 {
-                let _ = noc.inject(
-                    x as usize,
-                    y as usize,
-                    Packet::new(3 - x, 3 - y, 7, 2).unwrap(),
-                );
-            }
-        }
-        // Leave traffic (including fault-delayed flits) in flight.
-        for _ in 0..3 {
-            noc.cycle();
-        }
-        let state = noc.export_state();
-        assert_eq!(state, noc.export_state(), "export is a pure read");
-        let mut restored = MeshNoc::import_state(&state).unwrap();
-        assert_eq!(restored.export_state(), state, "import/export round-trips");
-        restored.set_fault_injector(FaultInjector::new(&plan));
-        let a = noc.drain(1000);
-        let b = restored.drain(1000);
-        assert_eq!(a, b, "restored mesh replays the same delivery stream");
-        assert_eq!(noc.stats(), restored.stats());
-    }
-
-    #[test]
-    fn import_rejects_malformed_state() {
-        let mut noc = mesh(3, 3);
-        noc.inject(0, 0, pkt(2, 2)).unwrap();
-        noc.cycle();
-        let good = noc.export_state();
-        assert!(MeshNoc::import_state(&good).is_ok());
-
-        let mut bad = good.clone();
-        bad.routers.pop();
-        assert!(matches!(
-            MeshNoc::import_state(&bad),
-            Err(NocStateError::Shape("router count"))
-        ));
-
-        let mut bad = good.clone();
-        bad.config.fifo_capacity = 0;
-        assert!(matches!(
-            MeshNoc::import_state(&bad),
-            Err(NocStateError::Shape("zero FIFO capacity"))
-        ));
-
-        let mut bad = good.clone();
-        bad.routers[0].queues[0] = vec![
-            Flit {
-                packet: pkt(1, 0),
-                injected_at: 0,
-                hops: 0,
-            };
-            5
-        ];
-        assert!(matches!(
-            MeshNoc::import_state(&bad),
-            Err(NocStateError::Router(RouterStateError::QueueOverflow))
-        ));
-
-        let mut bad = good.clone();
-        bad.routers[0].rr[2] = 9;
-        assert!(matches!(
-            MeshNoc::import_state(&bad),
-            Err(NocStateError::Router(RouterStateError::BadArbiter))
-        ));
-
-        let mut bad = good;
-        bad.delayed.push(DelayedFlit {
-            release_at: 1,
-            router: 99,
-            port: Port::Local,
-            flit: Flit {
-                packet: pkt(0, 0),
-                injected_at: 0,
-                hops: 0,
-            },
-        });
-        assert!(matches!(
-            MeshNoc::import_state(&bad),
-            Err(NocStateError::Shape("delayed-flit router index"))
-        ));
     }
 }

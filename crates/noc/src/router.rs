@@ -201,76 +201,7 @@ impl Router {
             .filter_map(VecDeque::front)
             .any(|f| Router::route_ordered(&f.packet, order) == output)
     }
-
-    /// Captures the router's mutable state: per-port FIFO contents (oldest
-    /// flit first) and the round-robin arbitration pointers.
-    pub fn export_state(&self) -> RouterState {
-        RouterState {
-            queues: std::array::from_fn(|p| self.inputs[p].iter().copied().collect()),
-            rr: self.rr,
-        }
-    }
-
-    /// Rebuilds a router of the given FIFO capacity from an exported image.
-    ///
-    /// # Errors
-    ///
-    /// [`RouterStateError::QueueOverflow`] if any captured queue exceeds the
-    /// capacity, [`RouterStateError::BadArbiter`] if an arbitration pointer
-    /// is out of range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (as [`Router::new`] does).
-    pub fn import_state(capacity: usize, state: &RouterState) -> Result<Router, RouterStateError> {
-        if state.queues.iter().any(|q| q.len() > capacity) {
-            return Err(RouterStateError::QueueOverflow);
-        }
-        if state.rr.iter().any(|&p| p >= PORTS) {
-            return Err(RouterStateError::BadArbiter);
-        }
-        let mut router = Router::new(capacity);
-        for (port, queue) in state.queues.iter().enumerate() {
-            for &flit in queue {
-                let accepted = router.accept(Port::ALL[port], flit);
-                debug_assert!(accepted, "length checked above");
-            }
-        }
-        router.rr = state.rr;
-        Ok(router)
-    }
 }
-
-/// Serializable image of one router's mutable state; see
-/// [`Router::export_state`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RouterState {
-    /// Per-port input FIFO contents, oldest flit first, indexed by
-    /// [`Port::index`].
-    pub queues: [Vec<Flit>; PORTS],
-    /// Round-robin arbitration pointer per output port.
-    pub rr: [usize; PORTS],
-}
-
-/// Error from [`Router::import_state`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouterStateError {
-    /// A captured FIFO holds more flits than the configured capacity.
-    QueueOverflow,
-    /// An arbitration pointer is not a valid port index.
-    BadArbiter,
-}
-
-impl std::fmt::Display for RouterStateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RouterStateError::QueueOverflow => write!(f, "router FIFO exceeds capacity"),
-            RouterStateError::BadArbiter => write!(f, "arbitration pointer out of range"),
-        }
-    }
-}
-
-impl std::error::Error for RouterStateError {}
 
 #[cfg(test)]
 mod tests {

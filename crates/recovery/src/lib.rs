@@ -32,7 +32,7 @@
 //!
 //! Determinism carries through recovery: given the same fault schedule
 //! and stimulus, the detect → replan → migrate sequence is bit-identical
-//! across thread counts and schedulers (`tests/recovery.rs` proves it
+//! across thread counts (`tests/recovery.rs` proves it
 //! differentially).
 
 #![forbid(unsafe_code)]

@@ -115,7 +115,6 @@ pub fn hot_migrate(old: &Chip, repaired: &mut RepairedNetwork) -> Result<(), Rec
         cores,
         plan: snapshot.plan,
         telemetry: snapshot.telemetry,
-        noc: snapshot.noc,
         app: snapshot.app,
     };
     let chip = Chip::restore(assembled)?;

@@ -14,9 +14,9 @@
 //! Determinism: all state lives in flat per-core vectors indexed by the
 //! canonical row-major core index, and a core absent from a record's
 //! activity list (skipped as provably quiescent by active-core
-//! scheduling) is treated as all-zero — exactly what a full sweep reports
-//! for it — so the monitor's verdicts are bit-identical across thread
-//! counts and schedulers.
+//! scheduling) is treated as all-zero — exactly what evaluating it would
+//! report — so the monitor's verdicts are bit-identical across thread
+//! counts.
 
 use serde::{Deserialize, Serialize};
 

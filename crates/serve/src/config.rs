@@ -10,7 +10,7 @@ use brainsim_recovery::BackoffLadder;
 /// production wants wall time, tests and capacity planning want
 /// reproducibility. The cost-unit meter charges
 /// `cores_evaluated + spikes` per tick — both deterministic functions of
-/// the workload (invariant across thread counts and schedulers) — so a
+/// the workload (invariant across thread counts) — so a
 /// fleet metered in cost units makes bit-identical demotion, quarantine
 /// and shed decisions on every host, which is how `tests/serve.rs` pins
 /// the policy differentially.

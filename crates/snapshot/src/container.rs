@@ -37,8 +37,8 @@ pub enum SectionId {
     Faults = 4,
     /// Telemetry image: config, eviction count, cumulative run summary.
     Telemetry = 5,
-    /// Standalone mesh-NoC state, for cycle-accurate studies.
-    Noc = 6,
+    // Tag 6 is reserved: it named a standalone mesh-NoC section no
+    // checkpoint ever carried, and now decodes as an unknown section.
     /// Opaque application payload (e.g. a harness's running checksum).
     App = 7,
 }
@@ -57,7 +57,6 @@ impl SectionId {
             3 => Some(SectionId::Cores),
             4 => Some(SectionId::Faults),
             5 => Some(SectionId::Telemetry),
-            6 => Some(SectionId::Noc),
             7 => Some(SectionId::App),
             _ => None,
         }
@@ -71,7 +70,6 @@ impl SectionId {
             SectionId::Cores => "cores",
             SectionId::Faults => "faults",
             SectionId::Telemetry => "telemetry",
-            SectionId::Noc => "noc",
             SectionId::App => "app",
         }
     }
@@ -300,12 +298,17 @@ mod tests {
     #[test]
     fn unknown_and_duplicate_sections_are_rejected() {
         let bytes = encode_container(&[(SectionId::App, vec![1])]);
-        let mut unknown = bytes.clone();
-        unknown[12] = 99; // overwrite the tag
-        assert_eq!(
-            decode_container(&unknown),
-            Err(RestoreError::UnknownSection { tag: 99 })
-        );
+        // 99 was never assigned; 6 is the retired mesh-NoC section.
+        for tag in [99u8, 6] {
+            let mut unknown = bytes.clone();
+            unknown[12] = tag; // overwrite the tag
+            assert_eq!(
+                decode_container(&unknown),
+                Err(RestoreError::UnknownSection {
+                    tag: u32::from(tag)
+                })
+            );
+        }
 
         let twice = encode_container(&[(SectionId::App, vec![1]), (SectionId::App, vec![2])]);
         assert_eq!(

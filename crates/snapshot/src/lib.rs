@@ -8,9 +8,8 @@
 //! state is a finite set of words (membrane potentials, LFSR states,
 //! crossbar words, scheduler rings, counters), and a run restored from a
 //! snapshot taken after tick `t` produces the *bit-identical* event stream
-//! a never-interrupted run produces — at any thread count, under either
-//! scheduler, on the SWAR or scalar kernels. `tests/checkpoint.rs` proves
-//! it differentially.
+//! a never-interrupted run produces — at any thread count, on the SWAR or
+//! scalar kernels. `tests/checkpoint.rs` proves it differentially.
 //!
 //! ## Layers
 //!
@@ -18,7 +17,7 @@
 //!   [`wire::Reader`]); every length prefix is validated before allocation.
 //! * [`codec`] — explicit field-ordered codecs for the state images
 //!   ([`brainsim_core::CoreState`], [`brainsim_faults::FaultPlan`],
-//!   [`brainsim_telemetry::RunSummary`], [`brainsim_noc::NocState`]).
+//!   [`brainsim_telemetry::RunSummary`]).
 //! * container — [`MAGIC`]`+`[`VERSION`] header and CRC-32-framed sections
 //!   ([`SectionId`]); [`decode_container`] is total over arbitrary bytes,
 //!   returning typed [`RestoreError`]s, never panicking.

@@ -63,11 +63,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `i16`, little-endian two's complement.
-    pub fn i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `i32`, little-endian two's complement.
     pub fn i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -149,11 +144,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads an `i16`, little-endian two's complement.
-    pub fn i16(&mut self) -> Result<i16, WireError> {
-        Ok(i16::from_le_bytes(self.array()?))
-    }
-
     /// Reads an `i32`, little-endian two's complement.
     pub fn i32(&mut self) -> Result<i32, WireError> {
         Ok(i32::from_le_bytes(self.array()?))
@@ -213,7 +203,6 @@ mod tests {
         w.u16(0xBEEF);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
-        w.i16(-123);
         w.i32(i32::MIN);
         w.usize(99);
         w.bool(true);
@@ -226,7 +215,6 @@ mod tests {
         assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i16().unwrap(), -123);
         assert_eq!(r.i32().unwrap(), i32::MIN);
         assert_eq!(r.usize().unwrap(), 99);
         assert!(r.bool().unwrap());

@@ -35,9 +35,8 @@
 //! records are concatenated in canonical core order from the Phase-A shard
 //! results, and every Phase-B counter (hops, crossings, histograms, fault
 //! tallies) merges by order-independent sums. The record stream is therefore
-//! bit-identical at any thread count and under either scheduling mode's own
-//! contract — the differential suite in `tests/parallel_equivalence.rs`
-//! asserts it.
+//! bit-identical at any thread count — the differential suite in
+//! `tests/parallel_equivalence.rs` asserts it.
 //!
 //! ## Overhead contract
 //!

@@ -110,8 +110,7 @@ pub struct TickRecord {
     pub tick: u64,
     /// Cores actually evaluated this tick.
     pub cores_evaluated: u32,
-    /// Cores skipped as provably quiescent by active-core scheduling
-    /// (always zero under a full sweep).
+    /// Cores skipped as provably quiescent by active-core scheduling.
     pub cores_skipped: u32,
     /// Total spikes fired by all cores this tick.
     pub spikes: u64,

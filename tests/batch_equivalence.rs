@@ -39,8 +39,7 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
         ),
     ];
 
-    let build =
-        || corpus::build_workload(&def, strategy, brainsim::chip::CoreScheduling::Sweep, 1).0;
+    let build = || corpus::build_workload(&def, strategy, 1).0;
     let proto = build();
     let mut batch = ChipBatch::new_replicas(&proto, plans.len()).expect("batch");
     let mut twins: Vec<brainsim::chip::Chip> = (0..plans.len()).map(|_| build()).collect();

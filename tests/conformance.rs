@@ -2,11 +2,12 @@
 //!
 //! Every corpus entry pins an FNV-1a checksum over its full run (per-tick
 //! spike rasters + final event census). These tests run the corpus through
-//! the complete conformance matrix — {Swar, Sparse scalar oracle} ×
-//! {Sweep, Active} × threads {1, 8} + the telemetry probe — and require
-//! every variant to be bit-identical AND to match the pinned value, so a
-//! regression in either strategy, scheduler, or the thread pipeline fails
-//! here.
+//! the conformance matrix — production (`active_swar_t1`) plus one axis at
+//! a time: `active_swar_t8`, `active_sparse_t1` (kernel oracle),
+//! `sweep_swar_t1` (scheduler oracle), `active_swar_t1_telemetry` — and
+//! require every variant to be bit-identical AND to match the pinned value,
+//! so a regression in the kernel, the scheduler, the thread pipeline or
+//! telemetry fails here, naming its axis.
 //!
 //! Release builds run all eight entries, both 64×64 / 4096-core shapes
 //! included; debug builds run the two 8×8 `smoke` entries
@@ -14,7 +15,7 @@
 //! and run `cargo test --release --test conformance`: the failure prints
 //! the value to paste.
 
-use brainsim::chip::{Chip, CoreScheduling};
+use brainsim::chip::Chip;
 use brainsim::core::EvalStrategy;
 use brainsim_bench::corpus::{self, build_workload};
 use brainsim_bench::sweep;
@@ -63,8 +64,7 @@ fn corpus_is_fully_pinned_and_reaches_full_silicon_scale() {
 
 /// Sparse residency as an exact count: on `nemo_64x64_edge` every core
 /// outside the 205-core island is a dormant header when built and still is
-/// after the entry's full driven run, under both schedulers — `Sweep`
-/// evaluates the bulk every tick and must not materialise it either.
+/// after the entry's full driven run.
 #[test]
 fn edge_bulk_cores_stay_dormant_through_the_run() {
     // Release only: the entry is not in the debug set.
@@ -86,17 +86,15 @@ fn edge_bulk_cores_stay_dormant_through_the_run() {
             })
             .collect()
     };
-    for scheduling in [CoreScheduling::Sweep, CoreScheduling::Active] {
-        let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, scheduling, 1);
-        assert_eq!(dormant(&chip), expected, "{scheduling:?}: at build");
-        brainsim_bench::drive_random_cores(
-            &mut chip,
-            def.ticks,
-            def.drive_rate,
-            sweep::lane_drive_seed(&def, 0),
-            island,
-        );
-        assert!(chip.census().spikes > 0, "the island must be active");
-        assert_eq!(dormant(&chip), expected, "{scheduling:?}: after the run");
-    }
+    let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+    assert_eq!(dormant(&chip), expected, "at build");
+    brainsim_bench::drive_random_cores(
+        &mut chip,
+        def.ticks,
+        def.drive_rate,
+        sweep::lane_drive_seed(&def, 0),
+        island,
+    );
+    assert!(chip.census().spikes > 0, "the island must be active");
+    assert_eq!(dormant(&chip), expected, "after the run");
 }

@@ -119,7 +119,6 @@ fn recurrent_network_matches_interpreter_for_long_runs() {
 
 #[test]
 fn aer_record_and_replay_round_trip() {
-    use brainsim::chip::trace::OutputTrace;
     use brainsim::encoding::aer;
 
     // Record a run's outputs as AER, encode to the wire format, decode,
@@ -132,34 +131,23 @@ fn aer_record_and_replay_round_trip() {
     producer.mark_output(n).unwrap();
     let mut compiled = compile(producer.network(), &CompileOptions::default()).unwrap();
 
-    let mut trace = OutputTrace::new();
+    let mut events: Vec<aer::AerEvent> = Vec::new();
     for t in 0..40u64 {
         if t % 3 != 2 {
             compiled.inject(0, t).unwrap();
         }
         let fired = compiled.tick();
         if fired[0] {
-            trace.record(&brainsim::chip::TickSummary {
-                tick: t,
-                spikes: 1,
-                outputs: vec![0],
-                faults: Default::default(),
-                cores_evaluated: 1,
-            });
+            events.push(aer::AerEvent { tick: t, port: 0 });
         }
     }
     assert!(
-        trace.len() >= 8,
+        events.len() >= 8,
         "producer must spike: {} events",
-        trace.len()
+        events.len()
     );
 
     // Wire round trip.
-    let events: Vec<aer::AerEvent> = trace
-        .events()
-        .iter()
-        .map(|&(tick, port)| aer::AerEvent { tick, port })
-        .collect();
     let mut buf = bytes::BytesMut::new();
     aer::encode(&events, &mut buf).unwrap();
     let decoded = aer::decode(&mut buf).unwrap();

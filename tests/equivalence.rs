@@ -164,7 +164,6 @@ fn golden_twin_chip(
     seed: u32,
     config_of: impl Fn(usize, &mut Lfsr) -> NeuronConfig,
 ) -> (brainsim::chip::Chip, GoldenCore) {
-    use brainsim::chip::CoreScheduling;
     let axons = 24;
     let neurons = 24;
     let mut b = ChipBuilder::new(ChipConfig {
@@ -172,7 +171,6 @@ fn golden_twin_chip(
         height: 1,
         core_axons: axons,
         core_neurons: neurons,
-        scheduling: CoreScheduling::Active,
         ..ChipConfig::default()
     });
     let core_seed = seed.wrapping_mul(0x9E37);

@@ -610,7 +610,6 @@ fn bitmap_to_indices(bitmap: &[u64]) -> Vec<usize> {
 // and honest about its stated topology.
 // ---------------------------------------------------------------------------
 
-use brainsim::chip::CoreScheduling;
 use brainsim_bench::corpus::{build_workload, FaultOverlay, WorkloadDef};
 use brainsim_bench::sweep::{run_variant, Variant};
 
@@ -660,14 +659,9 @@ proptest! {
     /// meaningful cross-variant contract.
     #[test]
     fn corpus_generator_is_deterministic(def in arb_workload_def()) {
-        let variant = Variant {
-            strategy: EvalStrategy::Swar,
-            scheduling: CoreScheduling::Sweep,
-            threads: 1,
-            telemetry: false,
-        };
-        let (a, stats_a) = build_workload(&def, variant.strategy, variant.scheduling, 1);
-        let (b, stats_b) = build_workload(&def, variant.strategy, variant.scheduling, 1);
+        let variant = Variant::PRODUCTION;
+        let (a, stats_a) = build_workload(&def, variant.strategy, 1);
+        let (b, stats_b) = build_workload(&def, variant.strategy, 1);
         prop_assert_eq!(stats_a, stats_b);
         prop_assert_eq!(a.checkpoint().to_bytes(), b.checkpoint().to_bytes());
         let run_a = run_variant(&def, &variant);
@@ -682,8 +676,7 @@ proptest! {
     /// output pad per structured core carries exactly one forward edge.
     #[test]
     fn corpus_connectivity_split_matches_declaration(def in arb_workload_def()) {
-        let (_, stats) =
-            build_workload(&def, EvalStrategy::Swar, CoreScheduling::Sweep, 1);
+        let (_, stats) = build_workload(&def, EvalStrategy::Swar, 1);
         let cores = (def.width * def.height) as u64;
         let edges = stats.intra_edges + stats.inter_edges;
         prop_assert_eq!(stats.output_neurons, cores);
@@ -738,8 +731,7 @@ proptest! {
         def in arb_workload_def(),
         lanes in prop_oneof![Just(2usize), Just(3), Just(8)],
     ) {
-        let (mut proto, _) =
-            build_workload(&def, EvalStrategy::Swar, CoreScheduling::Sweep, 1);
+        let (mut proto, _) = build_workload(&def, EvalStrategy::Swar, 1);
         if let Some(plan) = def.fault_plan() {
             proto.set_fault_plan(&plan);
         }
@@ -815,7 +807,7 @@ proptest! {
 // semantics. A chip built sparse must be bit-identical — per-tick summaries,
 // final census, fault statistics, telemetry, checkpoint bytes — to a twin of
 // the same network built with every compression path defeated, across
-// schedulers, thread counts, fault overlays, and a mid-run restore.
+// strategies, thread counts, fault overlays, and a mid-run restore.
 // ---------------------------------------------------------------------------
 
 use brainsim_bench::corpus::build_workload_dense;
@@ -840,12 +832,11 @@ proptest! {
     fn sparse_residency_is_bit_identical_to_dense_layout(
         def in arb_residency_def(),
         strategy in prop_oneof![Just(EvalStrategy::Swar), Just(EvalStrategy::Sparse)],
-        scheduling in prop_oneof![Just(CoreScheduling::Sweep), Just(CoreScheduling::Active)],
         threads in prop_oneof![Just(1usize), Just(8)],
         telemetry in any::<bool>(),
     ) {
-        let (mut sparse, stats_s) = build_workload(&def, strategy, scheduling, threads);
-        let (mut dense, stats_d) = build_workload_dense(&def, strategy, scheduling, threads);
+        let (mut sparse, stats_s) = build_workload(&def, strategy, threads);
+        let (mut dense, stats_d) = build_workload_dense(&def, strategy, threads);
         prop_assert_eq!(stats_s, stats_d);
 
         // The twins genuinely differ in residency: the sparse build keeps
