@@ -441,16 +441,6 @@ impl Chip {
         self.telemetry.take()
     }
 
-    /// Total spike events still waiting in the cores' delay-scheduler
-    /// rings — the chip-wide backlog. Zero means the chip is quiesced: no
-    /// in-flight event can alter future state without new input. The
-    /// recovery engine's migration step reads this to decide whether a
-    /// checkpoint captures a drained or a loaded chip (both are
-    /// crash-consistent; a drained one migrates with an empty backlog).
-    pub fn pending_events_total(&self) -> u64 {
-        self.cores.iter().map(|c| c.pending_events() as u64).sum()
-    }
-
     /// Aggregate fault statistics: routing-level faults plus every core's
     /// structural and spike faults.
     pub fn fault_stats(&self) -> FaultStats {

@@ -1,13 +1,11 @@
 //! Chip-level configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Multi-chip tiling: the core grid is divided into tiles of
 /// `width × height` cores, each tile modelling one physical chip. Packets
 /// crossing a tile boundary traverse the serialised peripheral link:
 /// each boundary crossing adds `link_latency` ticks of delivery delay and
 /// one link-crossing event to the energy census.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {
     /// Tile width in cores.
     pub width: usize,
@@ -18,7 +16,7 @@ pub struct TileConfig {
 }
 
 /// Static parameters of a chip instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipConfig {
     /// Cores per row.
     pub width: usize,

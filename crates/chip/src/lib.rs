@@ -74,5 +74,6 @@ pub use brainsim_telemetry::{TelemetryConfig, TelemetryLog, TickRecord};
 // checkpoint cadence helpers, re-exported so checkpointing callers need
 // only this crate.
 pub use brainsim_snapshot::{
-    CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint, SnapshotIoError,
+    BackoffLadder, CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint,
+    SnapshotIoError,
 };

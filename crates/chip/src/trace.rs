@@ -1,7 +1,5 @@
 //! Trace infrastructure: per-core activity maps and static link loads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chip::Chip;
 
 /// Per-core cumulative spike counts, row-major over the grid — the
@@ -42,7 +40,7 @@ pub type CoreLink = ((usize, usize), (usize, usize));
 
 /// Static per-link wire loads of a configured chip under dimension-order
 /// routing — the congestion analysis the placement stage optimises for.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkLoadReport {
     /// Wires crossing each directed link, keyed by `(from, to)` core pairs
     /// of adjacent cores, sorted for determinism.

@@ -64,12 +64,11 @@ mod place;
 use std::fmt;
 
 use brainsim_corelet::LogicalNetwork;
-use serde::{Deserialize, Serialize};
 
 pub use emit::{CompileReport, CompiledNetwork, IoError};
 
 /// Tunable knobs of the mapping pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Axons per physical core.
     pub core_axons: usize,
@@ -220,7 +219,7 @@ impl std::error::Error for CompileError {}
 /// without recompiling from scratch: the grid the chip was built for, the
 /// physical cell of every mapped core, and the defective-cell set the
 /// original placement avoided.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkMap {
     /// Grid dimensions (width, height).
     pub grid: (usize, usize),
@@ -232,7 +231,7 @@ pub struct NetworkMap {
 }
 
 /// One core relocation in a [`RepairedNetwork`]'s migration set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreMove {
     /// Mapped-core id.
     pub core: usize,

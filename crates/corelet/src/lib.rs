@@ -44,14 +44,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use brainsim_neuron::{Lfsr, NeuronConfig, Weight};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a logical neuron within one network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NeuronId(pub usize);
 
 /// A node that can source a synapse: an input port or a neuron.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeRef {
     /// External input port.
     Input(usize),
@@ -60,7 +59,7 @@ pub enum NodeRef {
 }
 
 /// One logical synapse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogicalSynapse {
     /// Source node.
     pub pre: NodeRef,
@@ -109,7 +108,7 @@ impl fmt::Display for CoreletError {
 impl std::error::Error for CoreletError {}
 
 /// A flat logical spiking network (the compiler's input).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LogicalNetwork {
     templates: Vec<NeuronConfig>,
     synapses: Vec<LogicalSynapse>,
@@ -184,7 +183,7 @@ impl LogicalNetwork {
 }
 
 /// Shape summary of a logical network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Neuron count.
     pub neurons: usize,

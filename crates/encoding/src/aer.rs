@@ -16,14 +16,11 @@
 //! use brainsim_encoding::aer::{self, AerEvent};
 //!
 //! let events = vec![AerEvent { tick: 3, port: 9 }, AerEvent { tick: 7, port: 1 }];
-//! let mut buf = bytes::BytesMut::new();
-//! aer::encode(&events, &mut buf).unwrap();
-//! assert_eq!(aer::decode(&mut buf).unwrap(), events);
+//! let bytes = aer::encode(&events).unwrap();
+//! assert_eq!(aer::decode(&bytes).unwrap(), events);
 //! ```
 
 use std::fmt;
-
-use bytes::{Buf, BufMut};
 
 /// One address event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,52 +56,60 @@ impl std::error::Error for AerError {}
 
 const MAGIC: &[u8; 4] = b"AER1";
 
-/// Encodes a tick-ordered event stream.
+/// Encodes a tick-ordered event stream (all integers big-endian).
 ///
 /// # Errors
 ///
 /// Returns [`AerError::NotSorted`] if ticks ever decrease.
-pub fn encode<B: BufMut>(events: &[AerEvent], buf: &mut B) -> Result<(), AerError> {
-    buf.put_slice(MAGIC);
-    buf.put_u32(events.len() as u32);
+pub fn encode(events: &[AerEvent]) -> Result<Vec<u8>, AerError> {
+    let mut out = Vec::with_capacity(8 + events.len() * 8);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(events.len() as u32).to_be_bytes());
     let mut last = 0u64;
     for event in events {
         if event.tick < last {
             return Err(AerError::NotSorted);
         }
-        buf.put_u32((event.tick - last) as u32);
-        buf.put_u32(event.port);
+        out.extend_from_slice(&((event.tick - last) as u32).to_be_bytes());
+        out.extend_from_slice(&event.port.to_be_bytes());
         last = event.tick;
     }
-    Ok(())
+    Ok(out)
 }
 
-/// Decodes an AER stream.
+/// Decodes an AER stream from the front of `bytes`; anything after the
+/// `count` events the header announces is ignored.
 ///
 /// # Errors
 ///
-/// See [`AerError`].
-pub fn decode<B: Buf>(buf: &mut B) -> Result<Vec<AerEvent>, AerError> {
-    if buf.remaining() < 8 {
+/// See [`AerError`]. A `count` the remaining bytes cannot hold is
+/// [`AerError::Truncated`], decided before anything is allocated.
+pub fn decode(bytes: &[u8]) -> Result<Vec<AerEvent>, AerError> {
+    if bytes.len() < 8 {
         return Err(AerError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (header, body) = bytes.split_at(8);
+    if header[..4] != MAGIC[..] {
         return Err(AerError::BadMagic);
     }
-    let count = buf.get_u32() as usize;
-    let mut events = Vec::with_capacity(count);
-    let mut tick = 0u64;
-    for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(AerError::Truncated);
-        }
-        tick += buf.get_u32() as u64;
-        let port = buf.get_u32();
-        events.push(AerEvent { tick, port });
+    let count = be_u32(&header[4..]) as usize;
+    if body.len() / 8 < count {
+        return Err(AerError::Truncated);
     }
-    Ok(events)
+    let mut tick = 0u64;
+    Ok(body
+        .chunks_exact(8)
+        .take(count)
+        .map(|event| {
+            tick += u64::from(be_u32(&event[..4]));
+            let port = be_u32(&event[4..]);
+            AerEvent { tick, port }
+        })
+        .collect())
+}
+
+fn be_u32(bytes: &[u8]) -> u32 {
+    u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
 }
 
 /// Converts a per-tick raster (`raster[t][p]`) into an event stream.
@@ -138,7 +143,6 @@ pub fn to_raster(events: &[AerEvent], ticks: usize, ports: usize) -> Vec<Vec<boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn sample() -> Vec<AerEvent> {
         vec![
@@ -155,41 +159,65 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let events = sample();
-        let mut buf = BytesMut::new();
-        encode(&events, &mut buf).unwrap();
-        let decoded = decode(&mut buf).unwrap();
-        assert_eq!(decoded, events);
+        let bytes = encode(&events).unwrap();
+        assert_eq!(decode(&bytes).unwrap(), events);
+    }
+
+    /// The stream layout is the contract: bytes computed with the parent
+    /// commit's `bytes`-based encoder.
+    #[test]
+    fn wire_format_golden_vector() {
+        let events = vec![
+            AerEvent { tick: 3, port: 9 },
+            AerEvent {
+                tick: 3,
+                port: 0x0102_0304,
+            },
+            AerEvent {
+                tick: 100_000,
+                port: u32::MAX,
+            },
+        ];
+        #[rustfmt::skip]
+        let wire = [
+            0x41, 0x45, 0x52, 0x31, 0x00, 0x00, 0x00, 0x03, // "AER1", count 3
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x09, // +3, port 9
+            0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04, // +0, port 0x01020304
+            0x00, 0x01, 0x86, 0x9d, 0xff, 0xff, 0xff, 0xff, // +99_997, port MAX
+        ];
+        assert_eq!(encode(&events).unwrap(), wire);
+        assert_eq!(decode(&wire).unwrap(), events);
     }
 
     #[test]
     fn empty_stream_round_trips() {
-        let mut buf = BytesMut::new();
-        encode(&[], &mut buf).unwrap();
-        assert_eq!(buf.len(), 8);
-        assert_eq!(decode(&mut buf).unwrap(), Vec::new());
+        let bytes = encode(&[]).unwrap();
+        assert_eq!(bytes.len(), 8);
+        assert_eq!(decode(&bytes).unwrap(), Vec::new());
     }
 
     #[test]
     fn unsorted_events_rejected() {
         let events = vec![AerEvent { tick: 5, port: 0 }, AerEvent { tick: 3, port: 0 }];
-        let mut buf = BytesMut::new();
-        assert_eq!(encode(&events, &mut buf), Err(AerError::NotSorted));
+        assert_eq!(encode(&events), Err(AerError::NotSorted));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"NOPE");
-        buf.put_u32(0);
-        assert_eq!(decode(&mut buf), Err(AerError::BadMagic));
+        assert_eq!(decode(b"NOPE\0\0\0\0"), Err(AerError::BadMagic));
     }
 
     #[test]
     fn truncated_stream_rejected() {
-        let mut buf = BytesMut::new();
-        encode(&sample(), &mut buf).unwrap();
-        let mut short = buf.split_to(buf.len() - 3);
-        assert_eq!(decode(&mut short), Err(AerError::Truncated));
+        let bytes = encode(&sample()).unwrap();
+        assert_eq!(decode(&bytes[..bytes.len() - 3]), Err(AerError::Truncated));
+        // A header announcing more events than the payload holds is
+        // refused before the count sizes an allocation: the largest count
+        // on a bare header, and a count one past a whole payload.
+        assert_eq!(decode(b"AER1\xff\xff\xff\xff"), Err(AerError::Truncated));
+        let mut one_more = bytes.clone();
+        one_more[4..8].copy_from_slice(&5u32.to_be_bytes());
+        assert_eq!(decode(&one_more), Err(AerError::Truncated));
     }
 
     #[test]

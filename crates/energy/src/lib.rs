@@ -40,13 +40,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost constants (all per-event costs in picojoules).
 ///
 /// Defaults are calibrated to the published TrueNorth-lineage operating
 /// point: 26 pJ per synaptic event, sub-mW per-core budgets, ~1 ms tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per synaptic event (crossbar read + integration), pJ.
     pub pj_per_synaptic_event: f64,
@@ -82,7 +80,7 @@ impl Default for EnergyModel {
 }
 
 /// Raw event counts accumulated by a simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCensus {
     /// Ticks simulated.
     pub ticks: u64,
@@ -128,7 +126,7 @@ impl EventCensus {
 }
 
 /// Derived power/efficiency figures for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Total active energy over the run, joules.
     pub active_energy_j: f64,

@@ -1,9 +1,7 @@
 //! Fault-plan description: which defect classes, at what rates.
 
-use serde::{Deserialize, Serialize};
-
 /// What a router does when a delayed flit would overflow its buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
     /// Discard the newly arriving flit (the default; matches a full FIFO
     /// refusing writes).
@@ -24,7 +22,7 @@ pub enum OverflowPolicy {
 /// neuron / crossbar cell is faulty or healthy for the whole run.
 /// Transport rates (`link_drop`, `link_corrupt`, `link_delay`) are
 /// per-*event*: each spike delivery or flit hop rolls independently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed from which every fault decision is derived.
     pub seed: u64,

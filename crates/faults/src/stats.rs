@@ -1,14 +1,12 @@
 //! Counters for every fault injected or absorbed during a run.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-layer fault accounting, merged upward into core, NoC and chip
 /// statistics.
 ///
 /// Structural counters (`cores_dropped`, `neurons_dead`, …) count *sites*
 /// disabled at apply time; event counters (`spikes_suppressed`,
 /// `packets_dropped`, …) count per-tick occurrences.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Cores disabled outright by the plan.
     pub cores_dropped: u64,

@@ -1,7 +1,5 @@
 //! The deterministic pseudo-random source used by the stochastic neuron modes.
 
-use serde::{Deserialize, Serialize};
-
 /// A 32-bit Galois linear-feedback shift register.
 ///
 /// Neurosynaptic cores use a hardware LFSR per core rather than a software
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = Lfsr::new(42);
 /// assert_eq!(a.next_u8(), b.next_u8()); // same seed, same stream
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Lfsr {
     state: u32,
 }

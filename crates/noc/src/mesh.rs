@@ -4,13 +4,12 @@ use std::fmt;
 
 use brainsim_faults::{FaultInjector, FaultStats, LinkFault, OverflowPolicy};
 use brainsim_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 
 use crate::packet::Packet;
 use crate::router::{Flit, Port, Router, RoutingOrder};
 
 /// Mesh dimensions and buffering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NocConfig {
     /// Routers per row.
     pub width: usize,
@@ -87,7 +86,7 @@ impl fmt::Display for NocInjectError {
 impl std::error::Error for NocInjectError {}
 
 /// Aggregate mesh statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NocStats {
     /// Packets accepted at source routers.
     pub injected: u64,

@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::Packet;
 
 /// Dimension order of the deterministic route.
@@ -11,7 +9,7 @@ use crate::packet::Packet;
 /// Both orders are deadlock-free on a mesh (each admits only one turn
 /// class); they differ in which links congest under asymmetric traffic —
 /// the routing ablation of the NoC experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RoutingOrder {
     /// Exhaust `dx` before `dy` (the silicon's order).
     #[default]
@@ -25,7 +23,7 @@ pub const PORTS: usize = 5;
 
 /// A router port. `Local` connects to the core; the four compass ports
 /// connect to neighbouring routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Port {
     /// The attached core.
@@ -58,7 +56,7 @@ impl Port {
 }
 
 /// A packet in flight with its bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// The packet (offsets are decremented as it travels).
     pub packet: Packet,

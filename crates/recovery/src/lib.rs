@@ -39,14 +39,16 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-mod backoff;
 mod error;
 mod migrate;
 mod monitor;
 mod runner;
 
-pub use backoff::BackoffLadder;
 pub use error::RecoveryError;
 pub use migrate::hot_migrate;
 pub use monitor::{DetectorConfig, HealthMonitor, HealthReport};
 pub use runner::{RecoveryEvent, RecoveryPolicy, RecoveryStats, SelfHealingRunner};
+
+// The ladder `RecoveryPolicy` is built from, re-exported so recovering
+// callers need only this crate.
+pub use brainsim_snapshot::BackoffLadder;

@@ -6,44 +6,27 @@ use brainsim_chip::Chip;
 use brainsim_compiler::{compile, repair, CompileError, CompileOptions, CompiledNetwork, CoreMove};
 use brainsim_corelet::LogicalNetwork;
 use brainsim_faults::FaultPlan;
-use brainsim_snapshot::{CheckpointPolicy, RetryPolicy};
+use brainsim_snapshot::{BackoffLadder, CheckpointPolicy, RetryPolicy};
 use brainsim_telemetry::TelemetryConfig;
 
-use crate::backoff::BackoffLadder;
 use crate::error::RecoveryError;
 use crate::migrate::hot_migrate;
 use crate::monitor::{DetectorConfig, HealthMonitor};
 
 /// How aggressively the runner recovers and when it gives up.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryPolicy {
     /// Detector thresholds for the health monitor.
     pub detectors: DetectorConfig,
-    /// Failed recovery attempts tolerated before degrading in place.
-    pub max_attempts: u32,
-    /// Ticks waited after the first failed attempt before the next one.
-    pub backoff_base_ticks: u64,
-    /// Upper bound on the per-attempt backoff (capped exponential).
-    pub backoff_cap_ticks: u64,
+    /// Failed recovery attempts tolerated before degrading in place, and
+    /// the capped-exponential wait, in ticks, between them.
+    pub ladder: BackoffLadder,
     /// When set, every migration first persists the pre-migration
     /// checkpoint here (with [`RetryPolicy`]-guarded writes), so a crash
     /// mid-migration can resume from the last consistent state.
     pub checkpoint_dir: Option<PathBuf>,
     /// Retry budget for the persisted checkpoint write.
     pub checkpoint_retry: RetryPolicy,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            detectors: DetectorConfig::default(),
-            max_attempts: 3,
-            backoff_base_ticks: 8,
-            backoff_cap_ticks: 64,
-            checkpoint_dir: None,
-            checkpoint_retry: RetryPolicy::default(),
-        }
-    }
 }
 
 /// One entry of the runner's recovery journal.
@@ -273,12 +256,7 @@ impl SelfHealingRunner {
             Err(e) => {
                 self.failed_attempts += 1;
                 self.stats.failed_attempts += 1;
-                let ladder = BackoffLadder::new(
-                    self.policy.backoff_base_ticks,
-                    self.policy.backoff_cap_ticks,
-                    self.policy.max_attempts,
-                );
-                match ladder.delay_after(self.failed_attempts) {
+                match self.policy.ladder.delay_after(self.failed_attempts) {
                     None => {
                         self.degraded = true;
                         let err = RecoveryError::Exhausted {

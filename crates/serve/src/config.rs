@@ -1,8 +1,7 @@
 //! Fleet sizing, per-round tick plans, deadline policy, recovery ladder,
 //! and checkpoint cadence.
 
-use brainsim_chip::RetryPolicy;
-use brainsim_recovery::BackoffLadder;
+use brainsim_chip::{BackoffLadder, RetryPolicy};
 
 /// The per-tick execution budget a session is held to.
 ///

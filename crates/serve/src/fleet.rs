@@ -938,7 +938,7 @@ fn restore_from_dir(
     Vec<brainsim_chip::SkippedCheckpoint>,
     Result<(u64, Chip, u64), String>,
 ) {
-    let (found, skips) = match CheckpointPolicy::load_newest_verifying_with_skips(dir) {
+    let (found, skips) = match CheckpointPolicy::load_newest_verifying(dir) {
         Ok(v) => v,
         Err(e) => return (Vec::new(), Err(format!("checkpoint scan failed: {e}"))),
     };

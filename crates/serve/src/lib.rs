@@ -29,7 +29,7 @@
 //!   contained by [`brainsim_chip::Chip::try_tick`], journaled, and
 //!   healed by restoring the newest verifying BSNP checkpoint (walking
 //!   past corrupt files) and replaying the session's logged injections,
-//!   under a capped-exponential [`brainsim_recovery::BackoffLadder`].
+//!   under a capped-exponential [`BackoffLadder`].
 //!   Other tenants never miss a tick and stay bit-identical to solo
 //!   runs; a ladder that exhausts yields a typed, terminal
 //!   [`SessionState::Failed`].
@@ -60,4 +60,4 @@ pub use session::{InjectCmd, Lane, SessionFailure, SessionMetrics, SessionState}
 
 // The ladder vocabulary the config speaks, re-exported so serving
 // callers need only this crate.
-pub use brainsim_recovery::BackoffLadder;
+pub use brainsim_chip::BackoffLadder;

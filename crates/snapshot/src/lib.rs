@@ -61,4 +61,6 @@ pub use container::{
 };
 pub use crc::crc32;
 pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError};
-pub use policy::{CheckpointPolicy, NewestVerifying, RetryPolicy, SaveError, SkippedCheckpoint};
+pub use policy::{
+    BackoffLadder, CheckpointPolicy, NewestVerifying, RetryPolicy, SaveError, SkippedCheckpoint,
+};

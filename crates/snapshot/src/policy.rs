@@ -53,6 +53,61 @@ impl Default for RetryPolicy {
     }
 }
 
+/// [`RetryPolicy`]'s deterministic twin: a bounded capped-exponential
+/// retry ladder over an abstract step unit — ticks for the self-healing
+/// runner, scheduling rounds for a serving runtime. Measuring backoff in
+/// simulation steps instead of wall time keeps every retry schedule
+/// deterministic and replayable.
+///
+/// The ladder answers one question: after the `k`-th consecutive failure,
+/// how long until the next attempt — or is the budget exhausted?
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackoffLadder {
+    base: u64,
+    cap: u64,
+    max_attempts: u32,
+}
+
+impl BackoffLadder {
+    /// A ladder waiting `base × 2^(k−1)` steps after the `k`-th failure
+    /// (capped at `cap`), permitting `max_attempts` attempts in total.
+    /// Degenerate inputs clamp: `base ≥ 1`, `cap ≥ base`,
+    /// `max_attempts ≥ 1`.
+    pub fn new(base: u64, cap: u64, max_attempts: u32) -> BackoffLadder {
+        let base = base.max(1);
+        BackoffLadder {
+            base,
+            cap: cap.max(base),
+            max_attempts: max_attempts.max(1),
+        }
+    }
+
+    /// Total attempts permitted before the ladder is exhausted.
+    pub fn max_attempts(&self) -> u32 {
+        self.max_attempts
+    }
+
+    /// Steps to wait after the `failed`-th consecutive failure (1-based):
+    /// `Some(base × 2^(failed−1))`, saturating and capped — or `None` when
+    /// the attempt budget is exhausted and the caller must escalate
+    /// (degrade in place, declare the session failed).
+    pub fn delay_after(&self, failed: u32) -> Option<u64> {
+        if failed >= self.max_attempts {
+            return None;
+        }
+        let shift = failed.saturating_sub(1).min(63);
+        Some(self.base.saturating_mul(1u64 << shift).min(self.cap))
+    }
+}
+
+impl Default for BackoffLadder {
+    /// 3 attempts, base 8 steps, cap 64 — the self-healing runner's
+    /// historical schedule.
+    fn default() -> Self {
+        BackoffLadder::new(8, 64, 3)
+    }
+}
+
 /// A checkpoint write that failed on every permitted attempt.
 #[derive(Debug)]
 pub struct SaveError {
@@ -78,7 +133,7 @@ impl std::error::Error for SaveError {
     }
 }
 
-/// A checkpoint file [`CheckpointPolicy::load_newest_verifying_with_skips`]
+/// A checkpoint file [`CheckpointPolicy::load_newest_verifying`]
 /// passed over on its backwards walk: newer than the winner, but damaged or
 /// unreadable. Surfacing these lets a supervisor log and meter
 /// corrupt-checkpoint events instead of silently healing past them — a
@@ -95,7 +150,7 @@ pub struct SkippedCheckpoint {
 }
 
 /// The audited result of
-/// [`CheckpointPolicy::load_newest_verifying_with_skips`]: the newest
+/// [`CheckpointPolicy::load_newest_verifying`]: the newest
 /// verifying `(tick, bytes)` — or `None` — plus every newer checkpoint
 /// the backwards walk skipped, newest first.
 pub type NewestVerifying = (Option<(u64, Vec<u8>)>, Vec<SkippedCheckpoint>);
@@ -231,18 +286,15 @@ impl CheckpointPolicy {
 
     /// Loads the newest checkpoint in `dir` that passes container
     /// verification (magic, version, every section CRC), walking backwards
-    /// past corrupt or unreadable files. Returns `None` when no checkpoint
-    /// verifies; IO errors other than per-file read failures propagate.
-    pub fn load_newest_verifying(dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
-        Ok(CheckpointPolicy::load_newest_verifying_with_skips(dir)?.0)
-    }
-
-    /// [`CheckpointPolicy::load_newest_verifying`] with the audit trail:
-    /// alongside the winner (or `None`), returns every newer checkpoint the
-    /// walk skipped and the [`SnapshotIoError`] that disqualified it, in
-    /// newest-first walk order. A damaged or vanished file is exactly what
-    /// fallback is for — but the caller gets to log and meter it.
-    pub fn load_newest_verifying_with_skips(dir: &Path) -> io::Result<NewestVerifying> {
+    /// past corrupt or unreadable files. The winner is `None` when no
+    /// checkpoint verifies; IO errors other than per-file read failures
+    /// propagate.
+    ///
+    /// Alongside the winner comes the audit trail: every newer checkpoint
+    /// the walk skipped and the [`SnapshotIoError`] that disqualified it,
+    /// in newest-first walk order. A damaged or vanished file is exactly
+    /// what fallback is for — but the caller gets to log and meter it.
+    pub fn load_newest_verifying(dir: &Path) -> io::Result<NewestVerifying> {
         let mut skipped = Vec::new();
         for (tick, path) in CheckpointPolicy::list(dir)?.into_iter().rev() {
             match load_verified(&path) {
@@ -318,16 +370,9 @@ mod tests {
         bytes[n - 1] ^= 0xFF;
         std::fs::write(&newest, &bytes).expect("damage newest");
 
-        let (tick, loaded) = CheckpointPolicy::load_newest_verifying(&dir)
-            .expect("io")
-            .expect("fallback found");
-        assert_eq!(tick, 10);
-        assert_eq!(loaded, payload(10));
-
-        // The audited form reports the same winner plus *why* tick 20 was
+        // The winner is tick 10, and the audit says *why* tick 20 was
         // passed over.
-        let (found, skipped) =
-            CheckpointPolicy::load_newest_verifying_with_skips(&dir).expect("io");
+        let (found, skipped) = CheckpointPolicy::load_newest_verifying(&dir).expect("io");
         let (tick, loaded) = found.expect("fallback found");
         assert_eq!(tick, 10);
         assert_eq!(loaded, payload(10));
@@ -350,8 +395,7 @@ mod tests {
             bytes[n - 1] ^= 0xFF;
             std::fs::write(&path, &bytes).expect("damage");
         }
-        let (found, skipped) =
-            CheckpointPolicy::load_newest_verifying_with_skips(&dir).expect("io");
+        let (found, skipped) = CheckpointPolicy::load_newest_verifying(&dir).expect("io");
         assert!(found.is_none());
         // Newest-first walk order.
         assert_eq!(
@@ -407,14 +451,38 @@ mod tests {
     }
 
     #[test]
+    fn ladder_delays_double_up_to_the_cap() {
+        let l = BackoffLadder::new(8, 20, 5);
+        assert_eq!(l.delay_after(1), Some(8));
+        assert_eq!(l.delay_after(2), Some(16));
+        assert_eq!(l.delay_after(3), Some(20)); // capped
+        assert_eq!(l.delay_after(4), Some(20));
+        assert_eq!(l.delay_after(5), None); // budget exhausted
+        assert_eq!(l.delay_after(99), None);
+    }
+
+    #[test]
+    fn ladder_degenerate_inputs_clamp() {
+        let l = BackoffLadder::new(0, 0, 0);
+        assert_eq!(l.max_attempts(), 1);
+        assert_eq!(l.delay_after(1), None); // one attempt, no retry
+
+        // Huge failure counts must not overflow the shift.
+        let l = BackoffLadder::new(u64::MAX, u64::MAX, u32::MAX);
+        assert_eq!(l.delay_after(70), Some(u64::MAX));
+    }
+
+    #[test]
     fn empty_or_missing_dir_is_none() {
         let dir = tmpdir("empty");
         assert!(CheckpointPolicy::load_newest_verifying(&dir)
             .expect("io")
+            .0
             .is_none());
         std::fs::create_dir_all(&dir).expect("mkdir");
         assert!(CheckpointPolicy::load_newest_verifying(&dir)
             .expect("io")
+            .0
             .is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,10 +15,8 @@
 //! spike when v ≥ 30 mV:  v ← c,  u ← u + d
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// The four Izhikevich parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IzhikevichParams {
     /// Recovery time scale.
     pub a: f64,
@@ -89,7 +87,7 @@ impl Default for IzhikevichParams {
 }
 
 /// One Izhikevich neuron: two state variables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IzhikevichNeuron {
     params: IzhikevichParams,
     v: f64,

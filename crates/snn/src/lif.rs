@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one floating-point LIF neuron.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifParams {
     /// Membrane time constant in ticks (τ).
     pub tau: f64,
@@ -32,7 +30,7 @@ impl Default for LifParams {
 }
 
 /// Where a synapse originates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnnSource {
     /// External input channel.
     Input(usize),
@@ -66,7 +64,7 @@ impl fmt::Display for SnnError {
 
 impl std::error::Error for SnnError {}
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Synapse {
     target: usize,
     weight: f64,
@@ -74,7 +72,7 @@ struct Synapse {
 }
 
 /// Work counters for baseline cost comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnnStats {
     /// Ticks simulated.
     pub ticks: u64,

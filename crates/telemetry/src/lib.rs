@@ -25,9 +25,9 @@
 //! * [`Probe`] — the consumer trait. Anything that wants the record stream
 //!   (exporters, custom aggregators) implements it and is driven by
 //!   [`TelemetryLog::replay`] or fed records directly.
-//! * [`JsonlExporter`] / [`CsvExporter`] — textual sinks implementing
-//!   [`Probe`]: one JSON object or CSV row per tick, hand-rendered with a
-//!   stable field order so output is byte-identical for identical runs.
+//! * [`JsonlExporter`] — the textual sink implementing [`Probe`]: one JSON
+//!   object per tick, hand-rendered with a stable field order so output
+//!   is byte-identical for identical runs.
 //!
 //! ## Determinism contract
 //!
@@ -56,9 +56,7 @@ mod record;
 mod report;
 mod sink;
 
-pub use export::{
-    render_csv_row, render_jsonl, render_summary_jsonl, CsvExporter, JsonlExporter, CSV_HEADER,
-};
+pub use export::{render_jsonl, render_summary_jsonl, JsonlExporter};
 pub use record::{CoreActivity, Histogram, SchedulerMeta, TickRecord, HISTOGRAM_BUCKETS};
 pub use report::{render_heatmap, RunSummary};
 pub use sink::{Probe, TelemetryConfig, TelemetryLog};

@@ -2,7 +2,6 @@
 
 use brainsim_energy::EventCensus;
 use brainsim_faults::FaultStats;
-use serde::{Deserialize, Serialize};
 
 /// Number of buckets in a [`Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 8;
@@ -12,7 +11,7 @@ pub const HISTOGRAM_BUCKETS: usize = 8;
 /// `≥ 64`). Merging is an element-wise sum, so histograms built by
 /// concurrent shards combine order-independently — the property the
 /// parallel routing pipeline relies on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Bucket counts: `[0]`, `[1]`, `[2,3]`, `[4,7]`, `[8,15]`, `[16,31]`,
     /// `[32,63]`, `[64,∞)`.
@@ -60,7 +59,7 @@ impl Histogram {
 /// cumulative totals). Skipped (provably quiescent) cores produce no
 /// activity entry — their count appears in
 /// [`TickRecord::cores_skipped`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreActivity {
     /// Flat row-major core index.
     pub core: u32,
@@ -84,7 +83,7 @@ pub struct CoreActivity {
 /// the record stream is bit-identical across thread counts and machines in
 /// every other field — so this block is deliberately excluded from
 /// [`TickRecord`] equality and only annotates exports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerMeta {
     /// The thread count the chip was configured with.
     pub threads_configured: u32,
@@ -104,7 +103,7 @@ pub struct SchedulerMeta {
 /// Equality compares the simulation payload only: the host-dependent
 /// [`TickRecord::scheduler`] annotation is excluded, so two logs collected
 /// on hosts with different CPU counts still compare bit-identical.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TickRecord {
     /// The tick that was evaluated.
     pub tick: u64,

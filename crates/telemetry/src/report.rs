@@ -5,7 +5,6 @@ use std::fmt::Write as _;
 
 use brainsim_energy::{EnergyModel, EventCensus};
 use brainsim_faults::FaultStats;
-use serde::{Deserialize, Serialize};
 
 use crate::record::{Histogram, TickRecord, HISTOGRAM_BUCKETS};
 use crate::sink::Probe;
@@ -13,7 +12,7 @@ use crate::sink::Probe;
 /// Cumulative aggregates over a whole run — fed one [`TickRecord`] at a
 /// time (it implements [`Probe`]), never evicted, so it stays exact on
 /// arbitrarily long runs even when the record ring wraps.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunSummary {
     /// Ticks observed.
     pub ticks: u64,

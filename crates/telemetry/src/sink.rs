@@ -2,13 +2,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::record::TickRecord;
 use crate::report::RunSummary;
 
 /// What the chip's instrumentation layer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Ring capacity in ticks: the log keeps the most recent `capacity`
     /// records and evicts the oldest beyond that (evictions are counted in
@@ -69,7 +67,7 @@ pub trait Probe {
 /// Holds the last [`TelemetryConfig::capacity`] records and a cumulative
 /// [`RunSummary`] fed by *every* record (so run-level aggregates survive
 /// ring eviction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryLog {
     config: TelemetryConfig,
     records: VecDeque<TickRecord>,

@@ -141,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     let (mut chip, mut checksum) =
         if args.resume {
-            match CheckpointPolicy::load_newest_verifying(&args.snapshot_dir)? {
+            match CheckpointPolicy::load_newest_verifying(&args.snapshot_dir)?.0 {
                 Some((tick, bytes)) => {
                     let snapshot = Snapshot::from_bytes(&bytes)?;
                     let checksum =

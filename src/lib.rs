@@ -22,8 +22,8 @@
 //! | [`snn`] | `brainsim-snn` | float LIF baseline + golden core |
 //! | [`encoding`] | `brainsim-encoding` | rate/latency/population codecs |
 //! | [`apps`] | `brainsim-apps` | classifier, edge filter bank, ITD estimator |
-//! | [`telemetry`] | `brainsim-telemetry` | per-tick probes, ring sinks, JSONL/CSV exporters |
-//! | [`snapshot`] | `brainsim-snapshot` | crash-consistent checkpoint container, codecs, retention policy |
+//! | [`telemetry`] | `brainsim-telemetry` | per-tick probes, ring sinks, JSONL exporter |
+//! | [`snapshot`] | `brainsim-snapshot` | crash-consistent checkpoint container, codecs, retention and retry policy |
 //! | [`recovery`] | `brainsim-recovery` | self-healing runtime: fault detection, re-placement, hot migration |
 //! | [`serve`] | `brainsim-serve` | multi-tenant serving runtime: deadlines, backpressure, crash-isolated recovery |
 //!

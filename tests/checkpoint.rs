@@ -300,6 +300,7 @@ fn policy_fallback_resumes_from_the_newest_verifying_snapshot() {
 
     let (tick, bytes) = CheckpointPolicy::load_newest_verifying(&dir)
         .expect("scan")
+        .0
         .expect("a verifying snapshot survives");
     assert_eq!(tick, 75, "fallback must pick the newest intact snapshot");
     let mut chip = Chip::restore(Snapshot::from_bytes(&bytes).expect("decode")).expect("restore");

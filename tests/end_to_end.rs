@@ -148,9 +148,8 @@ fn aer_record_and_replay_round_trip() {
     );
 
     // Wire round trip.
-    let mut buf = bytes::BytesMut::new();
-    aer::encode(&events, &mut buf).unwrap();
-    let decoded = aer::decode(&mut buf).unwrap();
+    let wire = aer::encode(&events).unwrap();
+    let decoded = aer::decode(&wire).unwrap();
     assert_eq!(decoded, events);
 
     // Replay into a relay; its output must reproduce the stream 1 tick late.
