@@ -57,6 +57,7 @@ mod batch;
 mod builder;
 mod chip;
 mod config;
+mod shards;
 mod snapshot;
 pub mod trace;
 
@@ -64,6 +65,7 @@ pub use batch::{BatchError, BatchTickError, ChipBatch};
 pub use builder::{ChipBuildError, ChipBuilder};
 pub use chip::{Chip, InjectError, TickError, TickSummary};
 pub use config::{ChipConfig, TileConfig};
+pub use shards::run_shards;
 pub use snapshot::{Snapshot, TelemetrySnapshot};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so

@@ -77,9 +77,12 @@ impl Default for DeadlinePolicy {
 /// Complete serving-runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads driving sessions each round (clamped to ≥ 1; also
-    /// clamped to the number of driveable sessions). Scheduling decisions
-    /// are bit-identical at any worker count.
+    /// Round-robin buckets the sessions of a round are driven in (clamped
+    /// to ≥ 1 and to the number of driveable sessions). One bucket runs on
+    /// the calling thread, more on scoped threads via
+    /// [`brainsim_chip::run_shards`]; a panic escaping a bucket is contained
+    /// at any count, and scheduling decisions are bit-identical at every
+    /// count.
     pub workers: usize,
     /// Admission cap: concurrent tenants the fleet will hold.
     pub max_tenants: usize,

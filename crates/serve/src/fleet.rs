@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use brainsim_chip::{CheckpointPolicy, Chip, SaveError, Snapshot, TelemetryConfig};
+use brainsim_chip::{run_shards, CheckpointPolicy, Chip, SaveError, Snapshot, TelemetryConfig};
 use brainsim_telemetry::RunSummary;
 
 use crate::config::{BudgetMeter, ServeConfig};
@@ -510,52 +510,39 @@ impl Fleet {
         }
         let scheduled: Vec<usize> = work.iter().map(|(slot, _, _)| *slot).collect();
 
-        // Phase 3 — drive on the worker pool. Workers hold disjoint
-        // `&mut Session`s; outcomes are re-sorted by slot so everything
-        // downstream is order-independent of worker interleaving.
+        // Phase 3 — drive: round-robin buckets of disjoint `&mut Session`s
+        // through `run_shards` (one bucket runs inline); outcomes are
+        // re-sorted by slot so everything downstream is order-independent
+        // of worker interleaving.
         let workers = self.config.workers.max(1).min(work.len().max(1));
-        let mut outcomes: Vec<(usize, DriveOutcome)> = if workers <= 1 {
-            work.into_iter()
+        let mut buckets: Vec<Vec<(usize, RoundPlan, &mut Session)>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for (i, item) in work.into_iter().enumerate() {
+            buckets[i % workers].push(item);
+        }
+        let results = run_shards(buckets, |bucket| {
+            bucket
+                .into_iter()
                 .map(|(slot, plan, session)| (slot, session.drive(&plan)))
-                .collect()
-        } else {
-            let mut buckets: Vec<Vec<(usize, RoundPlan, &mut Session)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, item) in work.into_iter().enumerate() {
-                buckets[i % workers].push(item);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .map(|bucket| {
-                        scope.spawn(move || {
-                            bucket
-                                .into_iter()
-                                .map(|(slot, plan, session)| (slot, session.drive(&plan)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().unwrap_or_default())
-                    .collect()
-            })
-        };
-        outcomes.sort_by_key(|(slot, _)| *slot);
-        // A worker thread that died took its whole bucket's outcomes with
-        // it; every scheduled-but-unreported slot is treated as panicked
-        // so supervision still reaches it.
-        for &slot in &scheduled {
-            if outcomes.binary_search_by_key(&slot, |(s, _)| *s).is_err() {
-                let synthesized = DriveOutcome {
-                    panic: Some("worker thread crashed".to_string()),
-                    ..DriveOutcome::default()
-                };
-                let at = outcomes.partition_point(|(s, _)| *s < slot);
-                outcomes.insert(at, (slot, synthesized));
+                .collect::<Vec<_>>()
+        });
+        let mut outcomes: Vec<(usize, DriveOutcome)> = Vec::with_capacity(scheduled.len());
+        for (b, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(driven) => outcomes.extend(driven),
+                // A panic escaping `Session::drive` took its whole
+                // bucket's outcomes with it; every slot of that bucket is
+                // treated as panicked so supervision still reaches it.
+                Err(_) => outcomes.extend(scheduled.iter().skip(b).step_by(workers).map(|&slot| {
+                    let crashed = DriveOutcome {
+                        panic: Some("worker thread crashed".to_string()),
+                        ..DriveOutcome::default()
+                    };
+                    (slot, crashed)
+                })),
             }
         }
+        outcomes.sort_by_key(|(slot, _)| *slot);
 
         // Phase 4 — apply outcomes in slot order.
         let mut driven = 0usize;

@@ -57,7 +57,7 @@ mod report;
 mod sink;
 
 pub use export::{render_jsonl, render_summary_jsonl, JsonlExporter};
-pub use record::{CoreActivity, Histogram, SchedulerMeta, TickRecord, HISTOGRAM_BUCKETS};
+pub use record::{CoreActivity, Histogram, TickRecord, HISTOGRAM_BUCKETS};
 pub use report::{render_heatmap, RunSummary};
 pub use sink::{Probe, TelemetryConfig, TelemetryLog};
 

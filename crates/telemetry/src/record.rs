@@ -75,35 +75,16 @@ pub struct CoreActivity {
     pub pending_events: u32,
 }
 
-/// Worker-thread sizing the chip's scheduler actually used for one tick:
-/// the configured count and the effective count after clamping to the
-/// host's available parallelism.
-///
-/// The effective count is a *host property*, not a simulation property —
-/// the record stream is bit-identical across thread counts and machines in
-/// every other field — so this block is deliberately excluded from
-/// [`TickRecord`] equality and only annotates exports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerMeta {
-    /// The thread count the chip was configured with.
-    pub threads_configured: u32,
-    /// The count actually used: `threads_configured` clamped to the host's
-    /// `std::thread::available_parallelism()`.
-    pub threads_effective: u32,
-}
-
 /// Everything the probes observed during one chip tick.
 ///
 /// The per-tick counters mirror [`brainsim_energy::EventCensus`] semantics
 /// (the [`TickRecord::energy`] field *is* this tick's census delta), fault
 /// annotations mirror the tick's `TickSummary.faults`, and
 /// [`TickRecord::cores`] holds per-core detail in canonical core order when
-/// enabled by [`crate::TelemetryConfig::core_detail`].
-///
-/// Equality compares the simulation payload only: the host-dependent
-/// [`TickRecord::scheduler`] annotation is excluded, so two logs collected
-/// on hosts with different CPU counts still compare bit-identical.
-#[derive(Debug, Clone, Default)]
+/// enabled by [`crate::TelemetryConfig::core_detail`]. Every field is a
+/// simulation observable, so a record is bit-identical at any thread count
+/// and on any host.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickRecord {
     /// The tick that was evaluated.
     pub tick: u64,
@@ -131,30 +112,7 @@ pub struct TickRecord {
     /// Per-core activity of the evaluated cores, in canonical row-major
     /// core order. Empty when core detail is disabled.
     pub cores: Vec<CoreActivity>,
-    /// Scheduler thread-sizing annotation (host-dependent; excluded from
-    /// equality).
-    pub scheduler: SchedulerMeta,
 }
-
-impl PartialEq for TickRecord {
-    fn eq(&self, other: &Self) -> bool {
-        // `scheduler` is intentionally absent: see the struct docs.
-        self.tick == other.tick
-            && self.cores_evaluated == other.cores_evaluated
-            && self.cores_skipped == other.cores_skipped
-            && self.spikes == other.spikes
-            && self.outputs == other.outputs
-            && self.deliveries == other.deliveries
-            && self.hops == other.hops
-            && self.link_crossings == other.link_crossings
-            && self.hop_histogram == other.hop_histogram
-            && self.faults == other.faults
-            && self.energy == other.energy
-            && self.cores == other.cores
-    }
-}
-
-impl Eq for TickRecord {}
 
 impl TickRecord {
     /// Fraction of cores skipped as quiescent this tick (0 when the chip
@@ -205,32 +163,6 @@ mod tests {
             .map(Histogram::bucket_floor)
             .collect();
         assert_eq!(floors, vec![0, 1, 2, 4, 8, 16, 32, 64]);
-    }
-
-    #[test]
-    fn equality_ignores_host_dependent_scheduler_meta() {
-        let a = TickRecord {
-            tick: 3,
-            spikes: 9,
-            scheduler: SchedulerMeta {
-                threads_configured: 8,
-                threads_effective: 8,
-            },
-            ..TickRecord::default()
-        };
-        let b = TickRecord {
-            scheduler: SchedulerMeta {
-                threads_configured: 8,
-                threads_effective: 1,
-            },
-            ..a.clone()
-        };
-        assert_eq!(a, b, "scheduler metadata must not break equality");
-        let c = TickRecord {
-            spikes: 10,
-            ..a.clone()
-        };
-        assert_ne!(a, c, "payload fields still compare");
     }
 
     #[test]
