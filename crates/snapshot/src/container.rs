@@ -16,7 +16,7 @@
 //! malformation maps to a typed [`RestoreError`].
 
 use crate::crc::crc32;
-use crate::wire::{Reader, WireError};
+use crate::wire::{Reader, WireError, Writer};
 
 /// The four magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 4] = *b"BSNP";
@@ -167,20 +167,62 @@ impl RestoreError {
     }
 }
 
+/// Bytes of the container header: magic, version, section count.
+const HEADER_LEN: usize = 12;
+
+/// Bytes of a section frame: tag, len, crc.
+const FRAME_LEN: usize = 16;
+
+/// Encodes a container in one buffer and one pass — the only code that
+/// frames sections. The header is written up front; each section reserves
+/// its frame, has its payload written in place behind it, and then gets
+/// its `len` and `crc` filled in, so no payload is ever copied.
+#[derive(Debug)]
+pub struct ContainerWriter {
+    w: Writer,
+    sections: u32,
+}
+
+impl ContainerWriter {
+    /// A container with room for `capacity` bytes in total, header and
+    /// frames included; it grows past that if it must.
+    pub fn with_capacity(capacity: usize) -> ContainerWriter {
+        let mut w = Writer::with_capacity(capacity);
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        w.u32(0); // the section count, filled in by `finish`
+        ContainerWriter { w, sections: 0 }
+    }
+
+    /// Appends section `id`, whose payload is whatever `write` appends.
+    pub fn section(&mut self, id: SectionId, write: impl FnOnce(&mut Writer)) {
+        let frame = self.w.as_bytes().len();
+        self.w.u32(id.tag());
+        self.w.u64(0); // len
+        self.w.u32(0); // crc
+        write(&mut self.w);
+        let payload = &self.w.as_bytes()[frame + FRAME_LEN..];
+        let (len, crc) = (payload.len() as u64, crc32(payload));
+        self.w.patch(frame + 4, &len.to_le_bytes());
+        self.w.patch(frame + 12, &crc.to_le_bytes());
+        self.sections += 1;
+    }
+
+    /// The finished container bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.w.patch(8, &self.sections.to_le_bytes());
+        self.w.into_bytes()
+    }
+}
+
 /// Frames `sections` (in the given order) into a container byte stream.
 pub fn encode_container(sections: &[(SectionId, Vec<u8>)]) -> Vec<u8> {
-    let total: usize = sections.iter().map(|(_, p)| p.len() + 16).sum();
-    let mut out = Vec::with_capacity(12 + total);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let total: usize = sections.iter().map(|(_, p)| FRAME_LEN + p.len()).sum();
+    let mut c = ContainerWriter::with_capacity(HEADER_LEN + total);
     for (id, payload) in sections {
-        out.extend_from_slice(&id.tag().to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        c.section(*id, |w| w.bytes(payload));
     }
-    out
+    c.finish()
 }
 
 /// Parses a container into its sections (file order), verifying the magic,
@@ -293,6 +335,34 @@ mod tests {
                 section: SectionId::Cores
             })
         );
+    }
+
+    #[test]
+    fn every_byte_of_a_two_block_payload_is_covered_by_its_crc() {
+        // 37 bytes: two whole 16-byte CRC blocks and a 5-byte tail.
+        let payload: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(29)).collect();
+        let bytes = encode_container(&[(SectionId::Cores, payload)]);
+        let start = HEADER_LEN + FRAME_LEN;
+        assert_eq!(bytes.len(), start + 37);
+        for at in start..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xFF;
+            assert_eq!(
+                decode_container(&flipped),
+                Err(RestoreError::SectionCrc {
+                    section: SectionId::Cores
+                }),
+                "flip at payload byte {}",
+                at - start
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_claiming_u64_max_bytes_is_truncated() {
+        let mut bytes = encode_container(&[(SectionId::App, vec![1, 2, 3])]);
+        bytes[HEADER_LEN + 4..HEADER_LEN + 12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode_container(&bytes), Err(RestoreError::Truncated));
     }
 
     #[test]

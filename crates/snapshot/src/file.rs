@@ -128,20 +128,18 @@ fn fail_if_armed() -> io::Result<()> {
 /// Writes `bytes` to `path` crash-consistently: the content goes to
 /// `<path>.tmp` first, is fsynced, and only then renamed over `path`.
 /// A crash at any point leaves `path` either absent or holding its
-/// complete previous content.
+/// complete previous content; an error leaves no temp file behind.
 pub fn save_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fail_if_armed()?;
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
+    let f = std::fs::File::create(&tmp)?;
+    if let Err(e) = write_and_rename(f, &tmp, path, bytes) {
+        // Best effort: the original error is the one worth reporting.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    let nth = WRITES.fetch_add(1, Ordering::Relaxed) + 1;
-    hold_if_hooked(nth);
-    std::fs::rename(&tmp, path)?;
     // Persist the rename itself (the directory entry). Failure to fsync a
     // directory is non-fatal on filesystems that don't support it.
     if let Some(dir) = path.parent() {
@@ -150,6 +148,17 @@ pub fn save_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// The steps of [`save_atomic`] after the temp file exists: write and
+/// fsync it, then rename it over `path` (the commit point).
+fn write_and_rename(mut f: std::fs::File, tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    io::Write::write_all(&mut f, bytes)?;
+    f.sync_all()?;
+    drop(f);
+    let nth = WRITES.fetch_add(1, Ordering::Relaxed) + 1;
+    hold_if_hooked(nth);
+    std::fs::rename(tmp, path)
 }
 
 /// Reads `path` and verifies container integrity (magic, version, every
@@ -185,6 +194,22 @@ mod tests {
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp file must not survive a save");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_save_removes_its_temp_file() {
+        // A non-empty directory at the target path makes the rename fail
+        // after the temp file has been written and fsynced.
+        let dir = tmpdir("failed");
+        let path = dir.join("state.bsnp");
+        std::fs::create_dir_all(path.join("occupied")).expect("create blocker");
+        let bytes = encode_container(&[(SectionId::App, vec![1, 2, 3])]);
+        assert!(save_atomic(&path, &bytes).is_err());
+        assert!(
+            !dir.join("state.bsnp.tmp").exists(),
+            "a failed save must not leave its temp file"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,8 +19,9 @@
 //!   ([`brainsim_core::CoreState`], [`brainsim_faults::FaultPlan`],
 //!   [`brainsim_telemetry::RunSummary`]).
 //! * container — [`MAGIC`]`+`[`VERSION`] header and CRC-32-framed sections
-//!   ([`SectionId`]); [`decode_container`] is total over arbitrary bytes,
-//!   returning typed [`RestoreError`]s, never panicking.
+//!   ([`SectionId`]), encoded in one pass by [`ContainerWriter`];
+//!   [`decode_container`] is total over arbitrary bytes, returning typed
+//!   [`RestoreError`]s, never panicking.
 //! * file — [`save_atomic`] (write-temp → fsync → rename: a crash leaves
 //!   the previous snapshot intact) and [`load_verified`].
 //! * policy — [`CheckpointPolicy`]: every-N cadence, keep-last-K retention,
@@ -57,7 +58,8 @@ mod policy;
 pub mod wire;
 
 pub use container::{
-    decode_container, encode_container, verify, RestoreError, SectionId, MAGIC, VERSION,
+    decode_container, encode_container, verify, ContainerWriter, RestoreError, SectionId, MAGIC,
+    VERSION,
 };
 pub use crc::crc32;
 pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError};

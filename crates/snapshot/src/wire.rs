@@ -38,9 +38,26 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Overwrites already-written bytes starting at offset `at`.
+    pub(crate) fn patch(&mut self, at: usize, v: &[u8]) {
+        self.buf[at..at + v.len()].copy_from_slice(v);
     }
 
     /// Appends one byte.
@@ -87,6 +104,27 @@ impl Writer {
     /// Appends raw bytes with no length prefix.
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends every `u64` of `v`, little-endian, with no length prefix —
+    /// the same bytes as one [`Writer::u64`] per element.
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.le_words(v, u64::to_le_bytes);
+    }
+
+    /// Appends every `i32` of `v`, little-endian, with no length prefix —
+    /// the same bytes as one [`Writer::i32`] per element.
+    pub fn i32s(&mut self, v: &[i32]) {
+        self.le_words(v, i32::to_le_bytes);
+    }
+
+    /// Grows the buffer once for all of `v`, then fills it in place.
+    fn le_words<T: Copy, const N: usize>(&mut self, v: &[T], to_le: fn(T) -> [u8; N]) {
+        let start = self.buf.len();
+        self.buf.resize(start + N * v.len(), 0);
+        for (out, &x) in self.buf[start..].chunks_exact_mut(N).zip(v) {
+            out.copy_from_slice(&to_le(x));
+        }
     }
 }
 
@@ -222,6 +260,22 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.bytes(3).unwrap(), b"xyz");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn bulk_writes_match_per_element_writes() {
+        let words = [0, 1, u64::MAX, 0x0123_4567_89AB_CDEF];
+        let ints = [i32::MIN, -1, 0, 7, i32::MAX];
+        let mut bulk = Writer::new();
+        bulk.u8(0xAA);
+        bulk.u64s(&words);
+        bulk.i32s(&ints);
+        bulk.u64s(&[]);
+        let mut each = Writer::new();
+        each.u8(0xAA);
+        words.iter().for_each(|&v| each.u64(v));
+        ints.iter().for_each(|&v| each.i32(v));
+        assert_eq!(bulk.into_bytes(), each.into_bytes());
     }
 
     #[test]

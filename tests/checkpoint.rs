@@ -330,18 +330,47 @@ fn policy_fallback_resumes_from_the_newest_verifying_snapshot() {
 
 #[test]
 fn default_config_checkpoint_bytes_are_pinned() {
-    // The BSNP layout is a compatibility surface: this is the FNV-1a of the
-    // checkpoint bytes of corpus entry `nemo_8x8_lo` after 50 driven ticks,
-    // as written by the parent of the commit that added this test. A change
-    // to any section's layout, or to the default configuration, moves it.
+    // The BSNP layout is a compatibility surface: each pin is the FNV-1a of
+    // the checkpoint bytes of corpus entry `nemo_8x8_lo` after 50 driven
+    // ticks. The first carries the config, chip and cores sections only.
+    // The second adds every optional section: a fault plan (which also
+    // gives core images their fault blocks), default telemetry and an app
+    // payload. Each pin was computed by the parent of the commit that added
+    // it, before that commit's encoder changes. A change to any section's
+    // layout, or to the default configuration, moves one of them.
     use brainsim_bench::corpus::{self, build_workload, Fnv1a};
     let def = corpus::find("nemo_8x8_lo").expect("corpus entry exists");
-    let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
     let drive_seed = brainsim_bench::sweep::lane_drive_seed(&def, 0);
-    brainsim_bench::drive_random(&mut chip, 50, def.drive_rate, drive_seed);
-    let mut hash = Fnv1a::new();
-    for byte in chip.checkpoint().to_bytes() {
-        hash.write(u64::from(byte));
+    let plan = FaultPlan::new(0xB5_4E)
+        .with_dead_neuron(0.02)
+        .with_synapse_stuck_one(0.01)
+        .with_link_drop(0.05);
+    for (all_sections, pin) in [
+        (false, 0x6e86_a6df_93cd_4cd2u64),
+        (true, 0x6a55_3018_5b09_d364),
+    ] {
+        let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+        if all_sections {
+            chip.set_fault_plan(&plan);
+            chip.enable_telemetry(TelemetryConfig::default());
+        }
+        brainsim_bench::drive_random(&mut chip, 50, def.drive_rate, drive_seed);
+        let mut snapshot = chip.checkpoint();
+        if all_sections {
+            snapshot.app = b"raster checksum 0x0123456789abcdef".to_vec();
+            assert!(snapshot.plan.is_some() && snapshot.telemetry.is_some());
+            assert!(snapshot.cores.iter().any(|c| c.faults.is_some()));
+        }
+        let bytes = snapshot.to_bytes();
+        let mut hash = Fnv1a::new();
+        for &byte in &bytes {
+            hash.write(u64::from(byte));
+        }
+        let reencoded = Snapshot::from_bytes(&bytes).expect("decodes").to_bytes();
+        assert!(
+            reencoded == bytes,
+            "decode + encode must reproduce the bytes"
+        );
+        assert_eq!(hash.finish(), pin, "all sections: {all_sections}");
     }
-    assert_eq!(hash.finish(), 0x6e86_a6df_93cd_4cd2);
 }
