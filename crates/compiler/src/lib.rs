@@ -158,6 +158,11 @@ pub enum CompileError {
         /// Grid capacity.
         capacity: usize,
     },
+    /// The grid's cell count `width × height` overflows `usize`.
+    GridTooLarge {
+        /// The requested grid (width, height).
+        grid: (usize, usize),
+    },
     /// A declared defective cell lies outside the placement grid — a
     /// configuration error, not a tolerable defect.
     FaultyCellOffGrid {
@@ -200,6 +205,13 @@ impl fmt::Display for CompileError {
             ),
             CompileError::GridTooSmall { cores, capacity } => {
                 write!(f, "{cores} cores do not fit a grid of {capacity}")
+            }
+            CompileError::GridTooLarge { grid } => {
+                write!(
+                    f,
+                    "a {}x{} grid has more cells than usize counts",
+                    grid.0, grid.1
+                )
             }
             CompileError::FaultyCellOffGrid { cell, grid } => write!(
                 f,
@@ -267,10 +279,11 @@ pub fn compile(
     let (mapped, typed, opts) = map_and_type(net, &opts)?;
     let grid = place::grid_for(mapped.cores.len(), &opts);
     check_faulty_cells_on_grid(&opts.faulty_cells, grid)?;
-    if grid.0 * grid.1 - opts.faulty_cells.len() < mapped.cores.len() {
+    let capacity = grid_cells(grid)? - opts.faulty_cells.len();
+    if capacity < mapped.cores.len() {
         return Err(CompileError::GridTooSmall {
             cores: mapped.cores.len(),
-            capacity: grid.0 * grid.1 - opts.faulty_cells.len(),
+            capacity,
         });
     }
     let placement = place::place(&mapped, &opts);
@@ -296,6 +309,8 @@ pub fn compile(
 ///
 /// - [`CompileError::FaultyCellOffGrid`] if a condemned cell lies outside
 ///   the grid.
+/// - [`CompileError::GridTooLarge`] if the retained grid's cell count
+///   overflows.
 /// - [`CompileError::GridTooSmall`] if no healthy spare cell is left for a
 ///   displaced core.
 /// - Any mapping error [`compile`] can produce (the logical pipeline is
@@ -326,10 +341,11 @@ pub fn repair(
             mapped.cores.len()
         )));
     }
+    let capacity = grid_cells(map.grid)? - opts.faulty_cells.len();
     let placement = place::repair(&mapped, map.grid, &map.positions, &opts.faulty_cells).ok_or(
         CompileError::GridTooSmall {
             cores: mapped.cores.len(),
-            capacity: map.grid.0 * map.grid.1 - opts.faulty_cells.len(),
+            capacity,
         },
     )?;
     let moves = map
@@ -377,6 +393,14 @@ fn map_and_type(
 fn normalise_faulty_cells(cells: &mut Vec<(usize, usize)>) {
     cells.sort_unstable();
     cells.dedup();
+}
+
+/// The number of cells in `grid`, or [`CompileError::GridTooLarge`] when
+/// that count overflows.
+fn grid_cells(grid: (usize, usize)) -> Result<usize, CompileError> {
+    grid.0
+        .checked_mul(grid.1)
+        .ok_or(CompileError::GridTooLarge { grid })
 }
 
 fn check_faulty_cells_on_grid(

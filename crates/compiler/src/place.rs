@@ -71,7 +71,13 @@ pub(crate) fn place(mapped: &Mapped, options: &CompileOptions) -> Placement {
 
     let t = traffic(mapped);
     let total_traffic: u64 = t.values().sum();
-    let is_faulty = |x: usize, y: usize| options.faulty_cells.contains(&(x, y));
+    let mut faulty = vec![false; w * h];
+    for &(x, y) in &options.faulty_cells {
+        if x < w && y < h {
+            faulty[y * w + x] = true;
+        }
+    }
+    let is_faulty = |x: usize, y: usize| faulty[y * w + x];
 
     // Greedy: order cores by total traffic weight, place each at the free
     // cell minimising cost to already-placed neighbours.
@@ -143,18 +149,26 @@ pub(crate) fn place(mapped: &Mapped, options: &CompileOptions) -> Placement {
     let mut rng = DetRng::from_seed(options.seed as u64);
     let mut current = greedy_cost;
     if options.anneal_iters > 0 && cores > 1 && total_traffic > 0 {
-        let incident = |positions: &[(usize, usize)], core: usize| -> u64 {
-            adjacency[core]
-                .iter()
-                .map(|&(other, wt)| {
-                    let (ax, ay) = positions[core];
-                    let (bx, by) = positions[other];
-                    wt * ((ax.abs_diff(bx) + ay.abs_diff(by)) as u64)
-                })
-                .sum()
+        // Σ weight × (hops after − hops before) over `core`'s edges when it
+        // moves to `to`, skipping its edge to `partner`: a swap keeps that
+        // edge's length.
+        let shift = |positions: &[(usize, usize)], core: usize, to: (usize, usize), partner| {
+            let from = positions[core];
+            let (mut before, mut after) = (0u64, 0u64);
+            for &(other, wt) in &adjacency[core] {
+                if other != partner {
+                    let (ox, oy) = positions[other];
+                    before += wt * ((from.0.abs_diff(ox) + from.1.abs_diff(oy)) as u64);
+                    after += wt * ((to.0.abs_diff(ox) + to.1.abs_diff(oy)) as u64);
+                }
+            }
+            (before, after)
         };
-        let mut cell_of: HashMap<(usize, usize), usize> =
-            positions.iter().enumerate().map(|(c, &p)| (p, c)).collect();
+        const EMPTY: usize = usize::MAX;
+        let mut cell_of = vec![EMPTY; w * h];
+        for (c, &(x, y)) in positions.iter().enumerate() {
+            cell_of[y * w + x] = c;
+        }
         let start_t = (greedy_cost.max(1) as f64 / cores.max(1) as f64).max(1.0);
         let mut best_cost = current;
         let mut best_positions = positions.clone();
@@ -163,23 +177,21 @@ pub(crate) fn place(mapped: &Mapped, options: &CompileOptions) -> Placement {
             let temperature = start_t * (1.0 - progress).powi(2) + 1e-9;
             let a = rng.usize_below(cores);
             let target = (rng.usize_below(w), rng.usize_below(h));
-            if is_faulty(target.0, target.1) {
+            let cell = target.1 * w + target.0;
+            if faulty[cell] {
                 continue;
             }
-            let b = cell_of.get(&target).copied();
-            if b == Some(a) {
+            let b = cell_of[cell];
+            if b == a {
                 continue;
             }
-            // Local cost before the move (the a–b edge, if any, is counted
-            // in both incident sums both before and after, so it cancels
-            // out of the delta).
-            let before = incident(&positions, a) + b.map(|b| incident(&positions, b)).unwrap_or(0);
             let old = positions[a];
-            positions[a] = target;
-            if let Some(b) = b {
-                positions[b] = old;
+            let (mut before, mut after) = shift(&positions, a, target, b);
+            if b != EMPTY {
+                let (b_before, b_after) = shift(&positions, b, old, a);
+                before += b_before;
+                after += b_after;
             }
-            let after = incident(&positions, a) + b.map(|b| incident(&positions, b)).unwrap_or(0);
             let proposed = if after >= before {
                 current + (after - before)
             } else {
@@ -191,19 +203,15 @@ pub(crate) fn place(mapped: &Mapped, options: &CompileOptions) -> Placement {
             };
             if accept {
                 current = proposed;
-                cell_of.remove(&old);
-                cell_of.insert(target, a);
-                if let Some(b) = b {
-                    cell_of.insert(old, b);
+                positions[a] = target;
+                cell_of[cell] = a;
+                cell_of[old.1 * w + old.0] = b;
+                if b != EMPTY {
+                    positions[b] = old;
                 }
                 if current < best_cost {
                     best_cost = current;
                     best_positions.clone_from(&positions);
-                }
-            } else {
-                positions[a] = old;
-                if let Some(b) = b {
-                    positions[b] = target;
                 }
             }
         }

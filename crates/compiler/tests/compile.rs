@@ -1,7 +1,9 @@
 //! End-to-end compiler tests: logical network → chip, checked against the
 //! direct interpreter.
 
-use brainsim_compiler::{compile, interp::Interpreter, repair, CompileError, CompileOptions};
+use brainsim_compiler::{
+    compile, interp::Interpreter, repair, CompileError, CompileOptions, CompileReport, NetworkMap,
+};
 use brainsim_corelet::{connectors, Corelet, NeuronId, NodeRef};
 use brainsim_neuron::NeuronConfig;
 
@@ -549,4 +551,218 @@ fn repair_rejects_off_grid_condemnations() {
     let map = compiled.network_map().clone();
     let err = repair(c.network(), &options, &map, &[(9, 9)]).unwrap_err();
     assert!(matches!(err, CompileError::FaultyCellOffGrid { .. }));
+}
+
+#[test]
+fn overflowing_grid_is_a_typed_error() {
+    let c = chain(4);
+    for grid in [(usize::MAX, 2), (2, usize::MAX)] {
+        let options = CompileOptions {
+            core_axons: 8,
+            core_neurons: 4,
+            relay_reserve: 2,
+            grid: Some(grid),
+            ..small_options()
+        };
+        assert_eq!(
+            compile(c.network(), &options).unwrap_err(),
+            CompileError::GridTooLarge { grid }
+        );
+    }
+}
+
+#[test]
+fn repair_on_an_overflowing_retained_grid_is_a_typed_error() {
+    let c = chain(4);
+    let options = CompileOptions {
+        core_axons: 8,
+        core_neurons: 4,
+        relay_reserve: 2,
+        grid: Some((2, 2)),
+        ..small_options()
+    };
+    let compiled = compile(c.network(), &options).expect("compiles");
+    for grid in [(usize::MAX, 2), (2, usize::MAX)] {
+        let map = NetworkMap {
+            grid,
+            ..compiled.network_map().clone()
+        };
+        assert_eq!(
+            repair(c.network(), &options, &map, &[]).unwrap_err(),
+            CompileError::GridTooLarge { grid }
+        );
+    }
+}
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over the grid, every core's cell and the faulty cells, each
+/// coordinate as a little-endian `u64`.
+fn map_hash(map: &NetworkMap) -> u64 {
+    std::iter::once(&map.grid)
+        .chain(&map.positions)
+        .chain(&map.faulty_cells)
+        .fold(FNV_OFFSET, |h, &(x, y)| {
+            let h = fnv1a(h, &(x as u64).to_le_bytes());
+            fnv1a(h, &(y as u64).to_le_bytes())
+        })
+}
+
+/// The benchmark's `lifecycle_compile` corelet, with both random-wiring
+/// seeds shifted by `shift`.
+fn lifecycle(shift: u32) -> Corelet {
+    let mut c = Corelet::new("lifecycle", 4);
+    let template = NeuronConfig::builder()
+        .threshold(4)
+        .leak(-1)
+        .build()
+        .unwrap();
+    let pop = c.add_population(template, 120);
+    let pres: Vec<NodeRef> = pop.iter().map(|&p| NodeRef::Neuron(p)).collect();
+    connectors::random(&mut c, &pres, &pop, 2, 3, 24, 5 + shift).unwrap();
+    connectors::random(&mut c, &pres, &pop, -2, 3, 20, 9 + shift).unwrap();
+    for i in 0..4 {
+        c.connect(NodeRef::Input(i), pop[i * 17], 4, 1).unwrap();
+    }
+    for &n in pop.iter().step_by(8) {
+        c.mark_output(n).unwrap();
+    }
+    c
+}
+
+/// `(checkpoint FNV-1a, report, network-map FNV-1a)` of one compile.
+type Pin = Result<(u64, CompileReport, u64), CompileError>;
+
+/// A successful lifecycle compile on (64, 24, 8) cores; every field but
+/// the annealed and random costs is shared by both seed salts.
+fn pinned(
+    checkpoint: u64,
+    shape: (usize, usize, usize, usize, u64, u64),
+    annealed_cost: u64,
+    random_cost: u64,
+    map: u64,
+) -> Pin {
+    let (cores, side, relays, axons_used, greedy_cost, total_traffic) = shape;
+    let report = CompileReport {
+        cores,
+        grid: (side, side),
+        physical_neurons: 120 + relays,
+        relays,
+        axons_used,
+        greedy_cost,
+        annealed_cost,
+        random_cost,
+        total_traffic,
+    };
+    Ok((checkpoint, report, map))
+}
+
+#[test]
+fn compiled_networks_are_pinned() {
+    // Every constant was recorded before the compiler's typing and
+    // placement passes were rewritten for speed (cached per-core colourings,
+    // array constraint maps, a one-walk annealer); the rewrite must leave
+    // every checkpoint byte, report field, placement and error unchanged.
+    let fanout = |neuron| Err(CompileError::DelayTooSmallForFanout { neuron });
+    let s0 = (102, 11, 1884, 1993, 27733, 5863);
+    let s1 = (91, 10, 1690, 1799, 23783, 5180);
+    let s2 = (116, 11, 2304, 2413, 37777, 6865);
+    // Indexed [shift][shape][salt]; shapes (64, 24, 8), (256, 256, 32),
+    // (32, 16, 4); seed salts 0 and 7.
+    let expected: [[[Pin; 2]; 3]; 3] = [
+        [
+            [
+                pinned(
+                    0x56ee_6c9f_ba30_8337,
+                    s0,
+                    27266,
+                    43080,
+                    0x2cfc_9744_b692_4905,
+                ),
+                pinned(
+                    0x2233_09db_10d6_c2c2,
+                    s0,
+                    27733,
+                    44375,
+                    0x7d6e_2011_baed_9422,
+                ),
+            ],
+            [fanout(1208), fanout(1208)],
+            [fanout(0), fanout(0)],
+        ],
+        [
+            [
+                pinned(
+                    0xc26a_b302_f223_6dab,
+                    s1,
+                    23409,
+                    34655,
+                    0x4236_ab11_cdbb_3347,
+                ),
+                pinned(
+                    0xad37_9439_9e63_e2fd,
+                    s1,
+                    23467,
+                    33998,
+                    0x5d4a_5153_0fb1_ab44,
+                ),
+            ],
+            [fanout(1162), fanout(1162)],
+            [fanout(76), fanout(76)],
+        ],
+        [
+            [
+                pinned(
+                    0xe87e_6367_889c_6ab9,
+                    s2,
+                    36087,
+                    50784,
+                    0xe326_2c80_0b6e_6f09,
+                ),
+                pinned(
+                    0xd4bf_1b40_f49f_aa65,
+                    s2,
+                    36175,
+                    50035,
+                    0x0358_0ded_c74b_b648,
+                ),
+            ],
+            [fanout(1218), fanout(1218)],
+            [fanout(0), fanout(0)],
+        ],
+    ];
+    let shapes = [(64, 24, 8), (256, 256, 32), (32, 16, 4)];
+    for (shift, by_shape) in expected.iter().enumerate() {
+        let corelet = lifecycle(shift as u32);
+        for (&(core_axons, core_neurons, relay_reserve), by_salt) in shapes.iter().zip(by_shape) {
+            for (salt, want) in [0u32, 7].into_iter().zip(by_salt) {
+                let options = CompileOptions {
+                    core_axons,
+                    core_neurons,
+                    relay_reserve,
+                    seed: CompileOptions::default().seed ^ salt,
+                    ..CompileOptions::default()
+                };
+                let got = compile(corelet.network(), &options).map(|c| {
+                    (
+                        fnv1a(FNV_OFFSET, &c.chip().checkpoint().to_bytes()),
+                        *c.report(),
+                        map_hash(c.network_map()),
+                    )
+                });
+                assert_eq!(
+                    &got, want,
+                    "shift {shift}, cores ({core_axons}, {core_neurons}, {relay_reserve}), salt {salt}"
+                );
+            }
+        }
+    }
 }
