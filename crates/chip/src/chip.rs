@@ -43,8 +43,8 @@ use brainsim_telemetry::{CoreActivity, Histogram, TelemetryConfig, TelemetryLog,
 use crate::builder::validate_wiring;
 use crate::config::ChipConfig;
 use crate::shards::run_shards;
-use crate::snapshot::{Snapshot, TelemetrySnapshot};
-use brainsim_snapshot::RestoreError;
+use crate::snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
+use brainsim_snapshot::{BaseRef, RestoreError};
 
 /// What happened during one chip tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,6 +344,10 @@ pub struct Chip {
     /// never serialised — a restored chip is always on the production
     /// scheduler.
     sweep_reference: bool,
+    /// Bumped by every [`Chip::set_fault_plan`] that changes anything:
+    /// the only mutation of the tables a [`SnapshotDelta`] leaves to its
+    /// base.
+    generation: u64,
 }
 
 impl Chip {
@@ -370,7 +374,17 @@ impl Chip {
             effective_threads,
             active_set: None,
             sweep_reference,
+            generation: 0,
         }
+    }
+
+    /// The structure generation: a counter that only
+    /// [`Chip::set_fault_plan`] moves. While it stands still, the chip's
+    /// tables (wiring, neuron parameters, crossbars, fault masks, the plan)
+    /// are those of any full checkpoint taken since it last moved, so a
+    /// [`SnapshotDelta`] against that checkpoint captures the chip.
+    pub fn structure_generation(&self) -> u64 {
+        self.generation
     }
 
     /// The worker-thread count the chip actually uses: the configured
@@ -460,6 +474,7 @@ impl Chip {
             None
         };
         self.plan = Some(*plan);
+        self.generation += 1;
     }
 
     /// Enables per-tick telemetry collection from the next tick on. Any
@@ -521,30 +536,67 @@ impl Chip {
                 .cores
                 .iter()
                 .map(|c| {
-                    // Virtualise any deferred-skip lag so the image is
-                    // bit-identical to one captured under eager skipping
-                    // (a lagging core is quiescent, so only the clock and
-                    // the skip accounting differ).
                     let mut state = c.export_state();
-                    let lag = self.now.saturating_sub(state.now);
-                    if lag > 0 {
-                        state.stats.ticks += lag;
-                        if !c.is_dropped() {
-                            state.stats.neuron_updates += lag * c.neurons() as u64;
-                        }
-                        state.now = self.now;
-                    }
+                    self.settle_lag(c, &mut state.now, &mut state.stats);
                     state
                 })
                 .collect(),
             plan: self.plan,
-            telemetry: self.telemetry.as_deref().map(|log| TelemetrySnapshot {
-                config: *log.config(),
-                evicted: log.evicted(),
-                summary: log.summary().clone(),
-            }),
+            telemetry: self.telemetry_snapshot(),
             app: Vec::new(),
         }
+    }
+
+    /// Captures the chip's dynamic state as a [`SnapshotDelta`] against
+    /// `base`, a full checkpoint of this chip taken at the current
+    /// [`Chip::structure_generation`]: what [`Chip::checkpoint`] captures,
+    /// minus every table, which is neither cloned nor encoded.
+    /// [`Snapshot::apply_delta`] on the base yields exactly the snapshot
+    /// [`Chip::checkpoint`] would return now.
+    pub fn checkpoint_delta(&self, base: BaseRef) -> SnapshotDelta {
+        SnapshotDelta {
+            base,
+            config: self.config,
+            now: self.now,
+            hops: self.hops,
+            link_crossings: self.link_crossings,
+            outputs_total: self.outputs_total,
+            fault_stats: self.fault_stats,
+            cores: self
+                .cores
+                .iter()
+                .map(|c| {
+                    let mut d = c.export_dynamics();
+                    self.settle_lag(c, &mut d.now, &mut d.stats);
+                    d
+                })
+                .collect(),
+            telemetry: self.telemetry_snapshot(),
+            app: Vec::new(),
+        }
+    }
+
+    /// Virtualises core `c`'s deferred-skip lag in its captured clock and
+    /// statistics, so the image is bit-identical to one captured under
+    /// eager skipping (a lagging core is quiescent, so only the clock and
+    /// the skip accounting differ).
+    fn settle_lag(&self, c: &NeurosynapticCore, now: &mut u64, stats: &mut CoreStats) {
+        let lag = self.now.saturating_sub(*now);
+        if lag > 0 {
+            stats.ticks += lag;
+            if !c.is_dropped() {
+                stats.neuron_updates += lag * c.neurons() as u64;
+            }
+            *now = self.now;
+        }
+    }
+
+    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
+        self.telemetry.as_deref().map(|log| TelemetrySnapshot {
+            config: *log.config(),
+            evicted: log.evicted(),
+            summary: log.summary().clone(),
+        })
     }
 
     /// Rebuilds a chip from a [`Snapshot`], validating everything the

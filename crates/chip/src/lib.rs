@@ -66,7 +66,7 @@ pub use builder::{ChipBuildError, ChipBuilder};
 pub use chip::{Chip, InjectError, TickError, TickSummary};
 pub use config::{ChipConfig, TileConfig};
 pub use shards::run_shards;
-pub use snapshot::{Snapshot, TelemetrySnapshot};
+pub use snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so
 // instrumented callers need only this crate.
@@ -76,6 +76,6 @@ pub use brainsim_telemetry::{TelemetryConfig, TelemetryLog, TickRecord};
 // checkpoint cadence helpers, re-exported so checkpointing callers need
 // only this crate.
 pub use brainsim_snapshot::{
-    BackoffLadder, CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint,
-    SnapshotIoError,
+    BackoffLadder, BaseRef, CheckpointPolicy, RestoreError, RetryPolicy, SaveError,
+    SkippedCheckpoint, SnapshotIoError,
 };

@@ -57,8 +57,8 @@ mod spike;
 mod swar;
 
 pub use core_impl::{
-    repack_cores, CoreBuildError, CoreBuilder, CoreFaultsState, CoreState, CoreStateError,
-    CoreStats, EvalStrategy, NeurosynapticCore,
+    repack_cores, CoreBuildError, CoreBuilder, CoreDynamics, CoreFaultsState, CoreState,
+    CoreStateError, CoreStats, EvalStrategy, NeurosynapticCore,
 };
 pub use crossbar::Crossbar;
 pub use scheduler::{Scheduler, SCHEDULER_SLOTS};

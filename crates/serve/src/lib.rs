@@ -13,7 +13,10 @@
 //!
 //! * **Admission** — [`Fleet::admit`] caps live tenants, validates names
 //!   (they become on-disk state directories), and writes a genesis
-//!   checkpoint so every session has a recovery floor from tick 0.
+//!   checkpoint so every session has a recovery floor from tick 0. Later
+//!   cadence checkpoints are deltas — the state ticking changed — against
+//!   the newest full checkpoint; a session writes a full one again only
+//!   after a restore or a fault plan.
 //! * **Backpressure** — each tenant submits [`InjectCmd`]s into a
 //!   bounded queue ([`SubmitError::QueueFull`]); a fleet-wide backlog
 //!   watermark sheds load with hysteresis

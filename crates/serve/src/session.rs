@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use brainsim_chip::Chip;
+use brainsim_chip::{BaseRef, Chip};
 
 use crate::config::BudgetMeter;
 
@@ -165,7 +165,20 @@ pub(crate) struct Session {
     /// application order; replayed on restore.
     pub inject_log: Vec<InjectCmd>,
     pub last_checkpoint_tick: u64,
+    /// The full checkpoint this session's deltas are taken against: `None`
+    /// until one is written, and again after every restore, whose chip has
+    /// the tables of whichever checkpoint it came from.
+    pub base: Option<Base>,
     pub metrics: SessionMetrics,
+}
+
+/// A session's delta base: the full checkpoint, and the chip's structure
+/// generation when it was written. A delta is valid while the generation
+/// stands still.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Base {
+    pub id: BaseRef,
+    pub generation: u64,
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -202,6 +215,7 @@ impl Session {
             checksum: FNV_OFFSET,
             inject_log: Vec::new(),
             last_checkpoint_tick: 0,
+            base: None,
             metrics: SessionMetrics::default(),
         }
     }

@@ -12,6 +12,10 @@
 //!                 payload
 //! ```
 //!
+//! A container is a **delta** when its first section is
+//! [`SectionId::Base`]: it then holds only the state ticking changes and
+//! names, by [`BaseRef`], the full checkpoint that holds the rest.
+//!
 //! Decoding is total: **no** input byte sequence can panic it. Every
 //! malformation maps to a typed [`RestoreError`].
 
@@ -41,6 +45,10 @@ pub enum SectionId {
     // checkpoint ever carried, and now decodes as an unknown section.
     /// Opaque application payload (e.g. a harness's running checksum).
     App = 7,
+    /// The [`BaseRef`] of a delta's base; always a delta's first section.
+    Base = 8,
+    /// Per-core dynamic images of a delta, row-major.
+    Dynamics = 9,
 }
 
 impl SectionId {
@@ -58,6 +66,8 @@ impl SectionId {
             4 => Some(SectionId::Faults),
             5 => Some(SectionId::Telemetry),
             7 => Some(SectionId::App),
+            8 => Some(SectionId::Base),
+            9 => Some(SectionId::Dynamics),
             _ => None,
         }
     }
@@ -71,6 +81,8 @@ impl SectionId {
             SectionId::Faults => "faults",
             SectionId::Telemetry => "telemetry",
             SectionId::App => "app",
+            SectionId::Base => "base",
+            SectionId::Dynamics => "dynamics",
         }
     }
 }
@@ -124,6 +136,23 @@ pub enum RestoreError {
     /// (inconsistent dimensions, invalid wiring, a core image that fails
     /// its own validation).
     Invalid(String),
+    /// A delta names a base that no checkpoint file beside it matches: the
+    /// base is gone, or another checkpoint now holds its tick.
+    UnknownBase {
+        /// The tick of the missing base.
+        tick: u64,
+    },
+    /// A delta's base is on disk but fails verification.
+    CorruptBase {
+        /// The tick of the damaged base.
+        tick: u64,
+    },
+    /// A delta does not fit the base it names: another grid or core shape,
+    /// a tick before the base's, or a base that is itself a delta.
+    BaseMismatch {
+        /// What disagrees.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -151,6 +180,15 @@ impl std::fmt::Display for RestoreError {
                 write!(f, "section '{}' is malformed: {what}", section.name())
             }
             RestoreError::Invalid(what) => write!(f, "snapshot is not restorable: {what}"),
+            RestoreError::UnknownBase { tick } => {
+                write!(f, "the base checkpoint at tick {tick} is missing")
+            }
+            RestoreError::CorruptBase { tick } => {
+                write!(f, "the base checkpoint at tick {tick} is corrupt")
+            }
+            RestoreError::BaseMismatch { what } => {
+                write!(f, "delta does not fit its base: {what}")
+            }
         }
     }
 }
@@ -270,6 +308,99 @@ pub fn verify(bytes: &[u8]) -> Result<(), RestoreError> {
     decode_container(bytes).map(|_| ())
 }
 
+/// The CRC-32 of a container's header and section frames. Each frame holds
+/// its payload's CRC-32, so the digest moves with the content of every
+/// section, yet it reads only the framing — a few hundred bytes, not a pass
+/// over the whole file. Total over arbitrary bytes: whatever framing they
+/// have is digested.
+fn frame_digest(bytes: &[u8]) -> u32 {
+    let mut r = Reader::new(bytes);
+    let mut framing = r.bytes(HEADER_LEN).unwrap_or_default().to_vec();
+    while let Ok(frame) = r.bytes(FRAME_LEN) {
+        framing.extend_from_slice(frame);
+        let len = Reader::new(&frame[4..]).usize();
+        if len.and_then(|len| r.bytes(len)).is_err() {
+            break;
+        }
+    }
+    crc32(&framing)
+}
+
+/// The full checkpoint a delta was taken against: its tick, which names
+/// its file, and a digest of its bytes, which tells it apart from any other
+/// checkpoint later written at that tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseRef {
+    /// The tick the base was taken at.
+    pub tick: u64,
+    /// The CRC-32 of the base's header and section frames. Each frame
+    /// holds its payload's CRC-32, so the digest covers every section's
+    /// content while reading only the framing, not the whole base.
+    pub digest: u32,
+}
+
+/// Bytes of a [`SectionId::Base`] payload: tick and digest.
+const BASE_LEN: usize = 12;
+
+/// Bytes from the start of a delta through its base reference.
+pub(crate) const BASE_PREFIX_LEN: usize = HEADER_LEN + FRAME_LEN + BASE_LEN;
+
+impl BaseRef {
+    /// The reference a delta records for `bytes`, a full checkpoint taken
+    /// at `tick`.
+    pub fn of(tick: u64, bytes: &[u8]) -> BaseRef {
+        BaseRef {
+            tick,
+            digest: frame_digest(bytes),
+        }
+    }
+
+    /// Writes the [`SectionId::Base`] payload.
+    pub fn write(&self, w: &mut Writer) {
+        w.u64(self.tick);
+        w.u32(self.digest);
+    }
+
+    fn read(payload: &[u8]) -> Result<BaseRef, WireError> {
+        let mut r = Reader::new(payload);
+        let base = BaseRef {
+            tick: r.u64()?,
+            digest: r.u32()?,
+        };
+        r.finish()?;
+        Ok(base)
+    }
+
+    /// The base a decoded container names: `Some` exactly when its first
+    /// section is [`SectionId::Base`], i.e. when it is a delta.
+    pub fn from_sections(sections: &[(SectionId, &[u8])]) -> Result<Option<BaseRef>, RestoreError> {
+        match sections.first() {
+            Some(&(SectionId::Base, payload)) => BaseRef::read(payload)
+                .map(Some)
+                .map_err(|e| RestoreError::from_wire(SectionId::Base, e)),
+            _ => Ok(None),
+        }
+    }
+
+    /// The base named by a container that starts with `prefix` (its first
+    /// [`BASE_PREFIX_LEN`] bytes), when that container is a delta — what
+    /// retention reads to keep bases alive without reading whole files.
+    pub(crate) fn from_prefix(prefix: &[u8]) -> Option<BaseRef> {
+        let mut r = Reader::new(prefix);
+        let framed = r.bytes(4).ok()? == MAGIC
+            && r.u32().ok()? == VERSION
+            && r.u32().ok()? > 0
+            && r.u32().ok()? == SectionId::Base.tag()
+            && r.usize().ok()? == BASE_LEN;
+        let crc = r.u32().ok()?;
+        let payload = r.bytes(BASE_LEN).ok()?;
+        if !framed || crc32(payload) != crc {
+            return None;
+        }
+        BaseRef::read(payload).ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +518,32 @@ mod tests {
                 section: SectionId::App
             })
         );
+    }
+
+    #[test]
+    fn a_base_ref_names_its_bytes_and_heads_its_delta() {
+        let base = sample();
+        let id = BaseRef::of(7, &base);
+        // A payload that differs by one byte moves the digest, though only
+        // the frames are read.
+        let mut cores = vec![9; 100];
+        cores[50] = 8;
+        let other = encode_container(&[
+            (SectionId::Config, vec![1, 2, 3]),
+            (SectionId::Chip, vec![]),
+            (SectionId::Cores, cores),
+        ]);
+        assert_ne!(BaseRef::of(7, &other), id);
+
+        // A delta leads with the reference, readable from its prefix alone.
+        let mut c = ContainerWriter::with_capacity(64);
+        c.section(SectionId::Base, |w| id.write(w));
+        c.section(SectionId::App, |w| w.bytes(&[1]));
+        let delta = c.finish();
+        let sections = decode_container(&delta).unwrap();
+        assert_eq!(BaseRef::from_sections(&sections), Ok(Some(id)));
+        assert_eq!(BaseRef::from_prefix(&delta[..BASE_PREFIX_LEN]), Some(id));
+        assert_eq!(BaseRef::from_prefix(&base[..BASE_PREFIX_LEN]), None);
     }
 
     #[test]

@@ -21,12 +21,15 @@
 //! * container — [`MAGIC`]`+`[`VERSION`] header and CRC-32-framed sections
 //!   ([`SectionId`]), encoded in one pass by [`ContainerWriter`];
 //!   [`decode_container`] is total over arbitrary bytes, returning typed
-//!   [`RestoreError`]s, never panicking.
+//!   [`RestoreError`]s, never panicking. A container is full, or a delta
+//!   naming its full base by [`BaseRef`].
 //! * file — [`save_atomic`] (write-temp → fsync → rename: a crash leaves
 //!   the previous snapshot intact) and [`load_verified`].
-//! * policy — [`CheckpointPolicy`]: every-N cadence, keep-last-K retention,
-//!   and [`CheckpointPolicy::load_newest_verifying`] fallback past a
-//!   corrupt latest snapshot.
+//! * policy — [`CheckpointPolicy`]: every-N cadence, keep-last-K retention
+//!   that keeps the bases retained deltas name, and
+//!   [`CheckpointPolicy::load_newest_verifying`], which resolves deltas
+//!   through the [`Checkpoint`] trait and falls back past a corrupt latest
+//!   snapshot or a lost base.
 //!
 //! The chip-level assembly — `Chip::checkpoint()` / `Chip::restore()` and
 //! the `Snapshot` type — lives in `brainsim-chip`, which composes these
@@ -58,11 +61,12 @@ mod policy;
 pub mod wire;
 
 pub use container::{
-    decode_container, encode_container, verify, ContainerWriter, RestoreError, SectionId, MAGIC,
-    VERSION,
+    decode_container, encode_container, verify, BaseRef, ContainerWriter, RestoreError, SectionId,
+    MAGIC, VERSION,
 };
 pub use crc::crc32;
 pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError};
 pub use policy::{
-    BackoffLadder, CheckpointPolicy, NewestVerifying, RetryPolicy, SaveError, SkippedCheckpoint,
+    BackoffLadder, Checkpoint, CheckpointPolicy, NewestVerifying, RetryPolicy, SaveError,
+    SkippedCheckpoint,
 };

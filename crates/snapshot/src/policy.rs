@@ -1,11 +1,20 @@
 //! Checkpoint cadence and retention: save every N ticks, keep the last K,
 //! and on restore fall back to the newest snapshot that still verifies.
+//!
+//! A checkpoint file is full or a delta (see the container docs). A delta
+//! is only as good as its base, so retention keeps every base a retained
+//! delta names. A base that has left the keep-K window is renamed
+//! `base-<tick>.bsnp`: it stops being a restore candidate of its own, but a
+//! delta can still resolve against it.
 
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::file::{load_verified, save_atomic, SnapshotIoError};
+use crate::container::{
+    decode_container, verify, BaseRef, RestoreError, SectionId, BASE_PREFIX_LEN,
+};
+use crate::file::{save_atomic, SnapshotIoError};
 
 /// Bounded retry with capped exponential backoff for checkpoint writes.
 ///
@@ -145,15 +154,128 @@ pub struct SkippedCheckpoint {
     pub tick: u64,
     /// The skipped file.
     pub path: PathBuf,
-    /// Why it was skipped: unreadable, or failed container verification.
+    /// Why it was skipped: unreadable, failed container verification, did
+    /// not decode, or is a delta whose base is missing, corrupt or another
+    /// shape.
     pub error: SnapshotIoError,
 }
 
 /// The audited result of
-/// [`CheckpointPolicy::load_newest_verifying`]: the newest
-/// verifying `(tick, bytes)` — or `None` — plus every newer checkpoint
-/// the backwards walk skipped, newest first.
-pub type NewestVerifying = (Option<(u64, Vec<u8>)>, Vec<SkippedCheckpoint>);
+/// [`CheckpointPolicy::load_newest_verifying`]: the newest restorable
+/// `(tick, checkpoint)` — or `None` — plus every newer checkpoint the
+/// backwards walk skipped, newest first.
+pub type NewestVerifying<T> = (Option<(u64, T)>, Vec<SkippedCheckpoint>);
+
+/// A checkpoint image [`CheckpointPolicy::load_newest_verifying`] can
+/// rebuild from a full container, or from a delta over its base. The
+/// loader verifies, finds and checks the base; the image decodes.
+pub trait Checkpoint: Sized {
+    /// Decodes a full checkpoint from its verified sections.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError`] when the sections do not describe a checkpoint.
+    fn decode_full(sections: &[(SectionId, &[u8])]) -> Result<Self, RestoreError>;
+
+    /// Decodes a delta's verified sections over `base`, the decoded full
+    /// checkpoint the delta names.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError`] when the sections are not a delta, or the delta
+    /// does not fit `base`.
+    fn decode_delta(base: Self, sections: &[(SectionId, &[u8])]) -> Result<Self, RestoreError>;
+}
+
+/// Reads, verifies and decodes the checkpoint at `path`, resolving a delta
+/// against the base it names in `dir`.
+fn load_resolved<T: Checkpoint>(dir: &Path, path: &Path) -> Result<T, SnapshotIoError> {
+    let bytes = std::fs::read(path)?;
+    let sections = decode_container(&bytes)?;
+    let Some(base) = BaseRef::from_sections(&sections)? else {
+        return Ok(T::decode_full(&sections)?);
+    };
+    let base_bytes = find_base(dir, base)?;
+    let base_sections =
+        decode_container(&base_bytes).map_err(|_| RestoreError::CorruptBase { tick: base.tick })?;
+    if BaseRef::from_sections(&base_sections)?.is_some() {
+        return Err(RestoreError::BaseMismatch {
+            what: "the base is itself a delta",
+        }
+        .into());
+    }
+    let decoded = T::decode_full(&base_sections)?;
+    Ok(T::decode_delta(decoded, &sections)?)
+}
+
+/// The bytes of the base `base` names: the file at its tick, in or out of
+/// the keep window, whose digest matches.
+fn find_base(dir: &Path, base: BaseRef) -> Result<Vec<u8>, RestoreError> {
+    let mut corrupt = false;
+    for path in [
+        CheckpointPolicy::path_for(dir, base.tick),
+        CheckpointPolicy::base_path_for(dir, base.tick),
+    ] {
+        if let Ok(bytes) = std::fs::read(&path) {
+            if BaseRef::of(base.tick, &bytes) == base {
+                return Ok(bytes);
+            }
+            corrupt |= verify(&bytes).is_err();
+        }
+    }
+    Err(if corrupt {
+        RestoreError::CorruptBase { tick: base.tick }
+    } else {
+        RestoreError::UnknownBase { tick: base.tick }
+    })
+}
+
+/// The tick of the base the checkpoint at `path` names, if it is a delta
+/// (read from the first bytes of the file alone).
+fn base_named_by(path: &Path) -> Option<u64> {
+    let mut prefix = [0u8; BASE_PREFIX_LEN];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut prefix))
+        .ok()?;
+    BaseRef::from_prefix(&prefix).map(|base| base.tick)
+}
+
+/// Checkpoints as `(tick, path)`, oldest first.
+type Listing = Vec<(u64, PathBuf)>;
+
+/// One scan of `dir`: its checkpoints (`ckpt-<tick>.bsnp`) and its bases
+/// out of the keep window (`base-<tick>.bsnp`). Other files, including
+/// `.tmp` leftovers from a crashed write, are ignored.
+fn scan(dir: &Path) -> io::Result<(Listing, Listing)> {
+    let (mut checkpoints, mut bases) = (Vec::new(), Vec::new());
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((checkpoints, bases)),
+        Err(e) => return Err(e),
+    };
+    for entry in entries {
+        let path = entry?.path();
+        let Some((kind, digits)) = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_suffix(".bsnp"))
+            .and_then(|stem| stem.split_once('-'))
+        else {
+            continue;
+        };
+        let Ok(tick) = digits.parse::<u64>() else {
+            continue;
+        };
+        match kind {
+            "ckpt" => checkpoints.push((tick, path)),
+            "base" => bases.push((tick, path)),
+            _ => {}
+        }
+    }
+    checkpoints.sort();
+    bases.sort();
+    Ok((checkpoints, bases))
+}
 
 /// When to checkpoint and how many checkpoints to retain.
 ///
@@ -200,58 +322,75 @@ impl CheckpointPolicy {
         dir.join(format!("ckpt-{tick:020}.bsnp"))
     }
 
-    /// All checkpoints in `dir`, as `(tick, path)` sorted oldest first.
-    /// Non-checkpoint files (including `.tmp` leftovers from a crashed
-    /// write) are ignored.
-    pub fn list(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(tick) = name
-                .strip_prefix("ckpt-")
-                .and_then(|rest| rest.strip_suffix(".bsnp"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            out.push((tick, path));
-        }
-        out.sort();
-        Ok(out)
+    /// Where the base taken at `tick` lives once it has left the keep
+    /// window: beside the checkpoints, but not one of them.
+    pub fn base_path_for(dir: &Path, tick: u64) -> PathBuf {
+        dir.join(format!("base-{tick:020}.bsnp"))
     }
 
-    /// Atomically writes the checkpoint for `tick` and prunes the oldest
-    /// files beyond the retention count. Returns the written path.
-    pub fn save(&self, dir: &Path, tick: u64, bytes: &[u8]) -> io::Result<PathBuf> {
+    /// All checkpoints in `dir`, as `(tick, path)` sorted oldest first.
+    /// Non-checkpoint files (including `.tmp` leftovers from a crashed
+    /// write, and bases out of the keep window) are ignored.
+    pub fn list(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+        Ok(scan(dir)?.0)
+    }
+
+    /// Atomically writes the checkpoint for `tick`, then prunes the window
+    /// to the newest `keep` checkpoints. Returns the oldest tick still on
+    /// disk as a checkpoint: the floor of every later restore.
+    ///
+    /// The rename that commits the new file is the success point. Pruning
+    /// after it is best effort: a file it cannot remove stays a checkpoint
+    /// (and the floor), and the next save tries again. A pruned checkpoint
+    /// that a retained delta names is renamed
+    /// [`CheckpointPolicy::base_path_for`] instead of removed, and such a
+    /// base is removed once no retained delta names it.
+    ///
+    /// # Errors
+    ///
+    /// The error of creating `dir` or of the atomic write.
+    pub fn save(&self, dir: &Path, tick: u64, bytes: &[u8]) -> io::Result<u64> {
         std::fs::create_dir_all(dir)?;
-        let path = CheckpointPolicy::path_for(dir, tick);
-        save_atomic(&path, bytes)?;
-        let existing = CheckpointPolicy::list(dir)?;
-        if existing.len() > self.keep {
-            for (_, old) in &existing[..existing.len() - self.keep] {
-                // A file that vanished between list and prune (a concurrent
-                // run, an operator's cleanup) is already pruned.
-                match std::fs::remove_file(old) {
-                    Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                    _ => {}
-                }
+        save_atomic(&CheckpointPolicy::path_for(dir, tick), bytes)?;
+        // Without a listing nothing is known to be gone: floor at 0.
+        Ok(self.prune(dir).unwrap_or(0))
+    }
+
+    /// The pruning half of [`CheckpointPolicy::save`]; returns the oldest
+    /// checkpoint left.
+    fn prune(&self, dir: &Path) -> io::Result<u64> {
+        let (checkpoints, bases) = scan(dir)?;
+        let cut = checkpoints.len().saturating_sub(self.keep);
+        let (leaving, kept) = checkpoints.split_at(cut);
+        let named: Vec<u64> = kept
+            .iter()
+            .filter_map(|(_, path)| base_named_by(path))
+            .collect();
+        let mut oldest = kept.first().map_or(0, |(tick, _)| *tick);
+        for (tick, path) in leaving {
+            let pruned = if named.contains(tick) {
+                std::fs::rename(path, CheckpointPolicy::base_path_for(dir, *tick))
+            } else {
+                std::fs::remove_file(path)
+            };
+            // A file that vanished meanwhile (a concurrent run, an
+            // operator's cleanup) is already pruned.
+            if pruned.is_err_and(|e| e.kind() != io::ErrorKind::NotFound) {
+                oldest = oldest.min(*tick);
             }
         }
-        Ok(path)
+        for (tick, path) in &bases {
+            if !named.contains(tick) {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        Ok(oldest)
     }
 
     /// [`CheckpointPolicy::save`] wrapped in a [`RetryPolicy`]: transient
     /// write failures are retried with capped exponential backoff; only
     /// exhausting the attempt budget surfaces, as a [`SaveError`] carrying
-    /// the attempt count and the final cause.
+    /// the attempt count and the final cause. Returns what `save` returns.
     ///
     /// # Errors
     ///
@@ -262,11 +401,11 @@ impl CheckpointPolicy {
         tick: u64,
         bytes: &[u8],
         retry: &RetryPolicy,
-    ) -> Result<PathBuf, SaveError> {
+    ) -> Result<u64, SaveError> {
         let mut failed = 0;
         loop {
             match self.save(dir, tick, bytes) {
-                Ok(path) => return Ok(path),
+                Ok(oldest) => return Ok(oldest),
                 Err(last) => {
                     failed += 1;
                     if failed >= retry.attempts() {
@@ -284,21 +423,23 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Loads the newest checkpoint in `dir` that passes container
-    /// verification (magic, version, every section CRC), walking backwards
-    /// past corrupt or unreadable files. The winner is `None` when no
-    /// checkpoint verifies; IO errors other than per-file read failures
+    /// Loads the newest checkpoint in `dir` that verifies (magic, version,
+    /// every section CRC) and decodes, walking backwards past corrupt or
+    /// unreadable files. A delta is resolved against the base it names,
+    /// in or out of the keep window; a delta whose base is missing or
+    /// corrupt is skipped like a corrupt file. The winner is `None` when
+    /// no checkpoint loads; IO errors other than per-file read failures
     /// propagate.
     ///
     /// Alongside the winner comes the audit trail: every newer checkpoint
     /// the walk skipped and the [`SnapshotIoError`] that disqualified it,
     /// in newest-first walk order. A damaged or vanished file is exactly
     /// what fallback is for — but the caller gets to log and meter it.
-    pub fn load_newest_verifying(dir: &Path) -> io::Result<NewestVerifying> {
+    pub fn load_newest_verifying<T: Checkpoint>(dir: &Path) -> io::Result<NewestVerifying<T>> {
         let mut skipped = Vec::new();
         for (tick, path) in CheckpointPolicy::list(dir)?.into_iter().rev() {
-            match load_verified(&path) {
-                Ok(bytes) => return Ok((Some((tick, bytes)), skipped)),
+            match load_resolved(dir, &path) {
+                Ok(checkpoint) => return Ok((Some((tick, checkpoint)), skipped)),
                 Err(error) => skipped.push(SkippedCheckpoint { tick, path, error }),
             }
         }
@@ -316,7 +457,8 @@ impl Default for CheckpointPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{encode_container, SectionId};
+    use crate::container::{encode_container, ContainerWriter};
+    use crate::file::load_verified;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -325,8 +467,55 @@ mod tests {
         dir
     }
 
+    /// A full checkpoint whose only section is an app payload: its tick.
     fn payload(tick: u64) -> Vec<u8> {
         encode_container(&[(SectionId::App, tick.to_le_bytes().to_vec())])
+    }
+
+    /// A delta over `base` whose app payload is its tick.
+    fn delta(tick: u64, base: BaseRef) -> Vec<u8> {
+        let mut c = ContainerWriter::with_capacity(64);
+        c.section(SectionId::Base, |w| base.write(w));
+        c.section(SectionId::App, |w| w.bytes(&tick.to_le_bytes()));
+        c.finish()
+    }
+
+    /// The stand-in image: the ticks of the app payloads it was built
+    /// from, base first.
+    #[derive(Debug, PartialEq)]
+    struct Ticks(Vec<u64>);
+
+    fn app_tick(sections: &[(SectionId, &[u8])]) -> Result<u64, RestoreError> {
+        let app = sections
+            .iter()
+            .find(|(id, _)| *id == SectionId::App)
+            .ok_or(RestoreError::MissingSection {
+                section: SectionId::App,
+            })?;
+        let bytes = <[u8; 8]>::try_from(app.1).map_err(|_| RestoreError::Truncated)?;
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    impl Checkpoint for Ticks {
+        fn decode_full(sections: &[(SectionId, &[u8])]) -> Result<Ticks, RestoreError> {
+            Ok(Ticks(vec![app_tick(sections)?]))
+        }
+
+        fn decode_delta(
+            mut base: Ticks,
+            sections: &[(SectionId, &[u8])],
+        ) -> Result<Ticks, RestoreError> {
+            base.0.push(app_tick(sections)?);
+            Ok(base)
+        }
+    }
+
+    fn ticks(dir: &Path) -> Vec<u64> {
+        CheckpointPolicy::list(dir)
+            .expect("list")
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect()
     }
 
     #[test]
@@ -345,15 +534,105 @@ mod tests {
     fn save_rotates_and_keeps_newest_k() {
         let dir = tmpdir("rotate");
         let p = CheckpointPolicy::new(10, 2);
-        for tick in [10, 20, 30, 40] {
-            p.save(&dir, tick, &payload(tick)).expect("save");
+        for (tick, oldest) in [(10, 10), (20, 10), (30, 20), (40, 30)] {
+            assert_eq!(p.save(&dir, tick, &payload(tick)).expect("save"), oldest);
         }
-        let ticks: Vec<u64> = CheckpointPolicy::list(&dir)
-            .expect("list")
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(ticks, vec![30, 40]);
+        assert_eq!(ticks(&dir), vec![30, 40]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_prune_that_fails_after_the_rename_still_saves() {
+        // A directory named like the tick-10 checkpoint cannot be removed
+        // as a file. The saves around it must still succeed: the rename is
+        // the commit point, and the blocker stays the oldest checkpoint.
+        let dir = tmpdir("prune-fails");
+        let blocker = CheckpointPolicy::path_for(&dir, 10);
+        std::fs::create_dir_all(blocker.join("occupied")).expect("create blocker");
+        let p = CheckpointPolicy::new(10, 1);
+        for tick in [20, 30] {
+            assert_eq!(p.save(&dir, tick, &payload(tick)).expect("save"), 10);
+        }
+        assert_eq!(ticks(&dir), vec![10, 30]);
+        // Once the blocker goes, the next save prunes it.
+        std::fs::remove_dir_all(&blocker).expect("remove blocker");
+        assert_eq!(p.save(&dir, 40, &payload(40)).expect("save"), 40);
+        assert_eq!(ticks(&dir), vec![40]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_keeps_every_base_a_retained_delta_names() {
+        let dir = tmpdir("bases");
+        let p = CheckpointPolicy::new(10, 2);
+        let base = payload(10);
+        p.save(&dir, 10, &base).expect("save base");
+        let named = BaseRef::of(10, &base);
+        p.save(&dir, 20, &delta(20, named)).expect("save 20");
+        assert_eq!(p.save(&dir, 30, &delta(30, named)).expect("save 30"), 20);
+
+        // The base left the window: no longer a checkpoint, still a base.
+        assert_eq!(ticks(&dir), vec![20, 30]);
+        assert!(CheckpointPolicy::base_path_for(&dir, 10).exists());
+        let (found, skipped) = CheckpointPolicy::load_newest_verifying::<Ticks>(&dir).expect("io");
+        assert_eq!(found, Some((30, Ticks(vec![10, 30]))));
+        assert!(skipped.is_empty());
+
+        // A new base and a delta over it: nothing names tick 10 any more.
+        let base = payload(40);
+        p.save(&dir, 40, &base).expect("save base");
+        let oldest = p
+            .save(&dir, 50, &delta(50, BaseRef::of(40, &base)))
+            .expect("save 50");
+        assert_eq!(oldest, 40);
+        assert_eq!(ticks(&dir), vec![40, 50]);
+        assert!(!CheckpointPolicy::base_path_for(&dir, 10).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_delta_without_its_base_is_skipped_and_the_walk_falls_back() {
+        let dir = tmpdir("lost-base");
+        let p = CheckpointPolicy::new(10, 4);
+        p.save(&dir, 10, &payload(10)).expect("save 10");
+        let base = payload(20);
+        p.save(&dir, 20, &base).expect("save 20");
+        p.save(&dir, 30, &delta(30, BaseRef::of(20, &base)))
+            .expect("save 30");
+        let base_path = CheckpointPolicy::path_for(&dir, 20);
+        let walk = |dir: &Path| {
+            let (found, skipped) =
+                CheckpointPolicy::load_newest_verifying::<Ticks>(dir).expect("io");
+            let errors: Vec<(u64, Option<RestoreError>)> = skipped
+                .into_iter()
+                .map(|s| match s.error {
+                    SnapshotIoError::Restore(e) => (s.tick, Some(e)),
+                    SnapshotIoError::Io(_) => (s.tick, None),
+                })
+                .collect();
+            (found.map(|(tick, _)| tick), errors)
+        };
+        let unknown = (30, Some(RestoreError::UnknownBase { tick: 20 }));
+
+        // Another checkpoint now holds tick 20: the delta's base is gone.
+        std::fs::write(&base_path, payload(21)).expect("replace base");
+        assert_eq!(walk(&dir), (Some(20), vec![unknown.clone()]));
+
+        // The base rots on disk: both it and the delta are skipped.
+        let mut rotten = base.clone();
+        *rotten.last_mut().expect("non-empty") ^= 0xFF;
+        std::fs::write(&base_path, rotten).expect("damage base");
+        let (winner, errors) = walk(&dir);
+        assert_eq!(winner, Some(10));
+        assert_eq!(
+            errors[0],
+            (30, Some(RestoreError::CorruptBase { tick: 20 }))
+        );
+        assert_eq!(errors.len(), 2);
+
+        // And a missing base is unknown.
+        std::fs::remove_file(&base_path).expect("remove base");
+        assert_eq!(walk(&dir), (Some(10), vec![unknown]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -372,10 +651,8 @@ mod tests {
 
         // The winner is tick 10, and the audit says *why* tick 20 was
         // passed over.
-        let (found, skipped) = CheckpointPolicy::load_newest_verifying(&dir).expect("io");
-        let (tick, loaded) = found.expect("fallback found");
-        assert_eq!(tick, 10);
-        assert_eq!(loaded, payload(10));
+        let (found, skipped) = CheckpointPolicy::load_newest_verifying::<Ticks>(&dir).expect("io");
+        assert_eq!(found, Some((10, Ticks(vec![10]))));
         assert_eq!(skipped.len(), 1);
         assert_eq!(skipped[0].tick, 20);
         assert_eq!(skipped[0].path, newest);
@@ -395,7 +672,7 @@ mod tests {
             bytes[n - 1] ^= 0xFF;
             std::fs::write(&path, &bytes).expect("damage");
         }
-        let (found, skipped) = CheckpointPolicy::load_newest_verifying(&dir).expect("io");
+        let (found, skipped) = CheckpointPolicy::load_newest_verifying::<Ticks>(&dir).expect("io");
         assert!(found.is_none());
         // Newest-first walk order.
         assert_eq!(
@@ -411,10 +688,11 @@ mod tests {
         let p = CheckpointPolicy::new(10, 2);
         let retry = RetryPolicy::new(3, Duration::ZERO, Duration::ZERO);
         crate::file::inject_write_failures(2);
-        let path = p
+        let oldest = p
             .save_with_retry(&dir, 10, &payload(10), &retry)
             .expect("third attempt succeeds");
-        assert_eq!(path, CheckpointPolicy::path_for(&dir, 10));
+        assert_eq!(oldest, 10);
+        let path = CheckpointPolicy::path_for(&dir, 10);
         assert_eq!(load_verified(&path).expect("verifies"), payload(10));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -475,12 +753,12 @@ mod tests {
     #[test]
     fn empty_or_missing_dir_is_none() {
         let dir = tmpdir("empty");
-        assert!(CheckpointPolicy::load_newest_verifying(&dir)
+        assert!(CheckpointPolicy::load_newest_verifying::<Ticks>(&dir)
             .expect("io")
             .0
             .is_none());
         std::fs::create_dir_all(&dir).expect("mkdir");
-        assert!(CheckpointPolicy::load_newest_verifying(&dir)
+        assert!(CheckpointPolicy::load_newest_verifying::<Ticks>(&dir)
             .expect("io")
             .0
             .is_none());

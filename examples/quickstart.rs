@@ -141,9 +141,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     let (mut chip, mut checksum) =
         if args.resume {
-            match CheckpointPolicy::load_newest_verifying(&args.snapshot_dir)?.0 {
-                Some((tick, bytes)) => {
-                    let snapshot = Snapshot::from_bytes(&bytes)?;
+            match CheckpointPolicy::load_newest_verifying::<Snapshot>(&args.snapshot_dir)?.0 {
+                Some((tick, snapshot)) => {
                     let checksum =
                         u64::from_le_bytes(snapshot.app.as_slice().try_into().map_err(|_| {
                             "snapshot application section is not an 8-byte checksum"

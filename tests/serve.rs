@@ -648,6 +648,52 @@ fn recovery_ladder_exhausts_to_typed_failure_without_hurting_bystanders() {
 }
 
 #[test]
+fn an_unprunable_checkpoint_fails_no_write() {
+    // A directory where the tick-10 checkpoint would be: listed as a
+    // checkpoint, but never removable as a file. Once it leaves the keep
+    // window every save fails to prune it — after its own rename already
+    // committed — and none of those saves may count as failed.
+    let dir = tmpdir("unprunable");
+    let config = ServeConfig {
+        workers: 1,
+        ticks_per_round: 4,
+        checkpoint_every: 8,
+        checkpoint_keep: 2,
+        checkpoint_retry: RetryPolicy::new(1, Duration::ZERO, Duration::ZERO),
+        ..ServeConfig::default()
+    };
+    let mut fleet = Fleet::new(config, &dir);
+    let blocker = CheckpointPolicy::path_for(&fleet.tenant_state_dir("t"), 10);
+    std::fs::create_dir_all(blocker.join("occupied")).expect("create blocker");
+    fleet.admit("t", tenant_chip(5)).expect("admit");
+    let mut upto = 0;
+    for _ in 0..10 {
+        top_up(&mut fleet, "t", 5, &mut upto);
+        fleet.run_round();
+    }
+    let view = fleet.session("t").expect("view");
+    assert_eq!(view.ticks, 40);
+    assert_eq!(view.metrics.checkpoint_failures, 0);
+    assert_eq!(view.metrics.checkpoints_written, 6);
+    assert_eq!(view.checksum, solo_checksum(tenant_chip(5), 5, 40, true));
+    let ticks: Vec<u64> = CheckpointPolicy::list(&fleet.tenant_state_dir("t"))
+        .expect("list")
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect();
+    assert_eq!(ticks, vec![10, 32, 40]);
+
+    // The blocker is still the floor: a crash now restores the newest
+    // checkpoint and replays from there.
+    assert!(fleet.chaos_poison_core("t", 0));
+    top_up(&mut fleet, "t", 5, &mut upto);
+    fleet.run_round();
+    let view = fleet.session("t").expect("view");
+    assert_eq!(view.metrics.recoveries, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_then_resume_continues_bit_identically() {
     let dir = tmpdir("resume");
     let config = ServeConfig {
