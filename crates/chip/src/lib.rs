@@ -76,6 +76,6 @@ pub use brainsim_telemetry::{TelemetryConfig, TelemetryLog, TickRecord};
 // checkpoint cadence helpers, re-exported so checkpointing callers need
 // only this crate.
 pub use brainsim_snapshot::{
-    BackoffLadder, BaseRef, CheckpointPolicy, RestoreError, RetryPolicy, SaveError,
-    SkippedCheckpoint, SnapshotIoError,
+    BackoffLadder, BaseRef, CheckpointPolicy, FailedAttempt, RecoveryEpisode, RestoreError,
+    RetryPolicy, SaveError, SkippedCheckpoint, SnapshotIoError,
 };

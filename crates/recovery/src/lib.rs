@@ -25,10 +25,13 @@
 //!    resumes via the validating [`brainsim_chip::Chip::restore`] path.
 //!
 //! [`SelfHealingRunner`] drives the loop per tick with a typed
-//! [`RecoveryError`] ladder, bounded retry with capped exponential
-//! backoff (measured in ticks, so behaviour is deterministic), and a
-//! last-resort degrade-in-place fallback: recovery can never crash the
-//! run. On a healthy chip the whole loop is a proven no-op.
+//! [`RecoveryError`] ladder and a last-resort degrade-in-place fallback:
+//! recovery can never crash the run. Its retry schedule is a
+//! [`brainsim_snapshot::RecoveryEpisode`] on the policy's
+//! [`BackoffLadder`], bounded and capped-exponential, measured in ticks so
+//! behaviour is deterministic. The serving fleet drives the same episode
+//! type in rounds, so both supervisors share one ladder. On a healthy chip
+//! the whole loop is a proven no-op.
 //!
 //! Determinism carries through recovery: given the same fault schedule
 //! and stimulus, the detect → replan → migrate sequence is bit-identical

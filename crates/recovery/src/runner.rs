@@ -6,7 +6,9 @@ use brainsim_chip::Chip;
 use brainsim_compiler::{compile, repair, CompileError, CompileOptions, CompiledNetwork, CoreMove};
 use brainsim_corelet::LogicalNetwork;
 use brainsim_faults::FaultPlan;
-use brainsim_snapshot::{BackoffLadder, CheckpointPolicy, RetryPolicy};
+use brainsim_snapshot::{
+    BackoffLadder, CheckpointPolicy, FailedAttempt, RecoveryEpisode, RetryPolicy,
+};
 use brainsim_telemetry::TelemetryConfig;
 
 use crate::error::RecoveryError;
@@ -85,10 +87,11 @@ pub struct RecoveryStats {
 /// Each [`SelfHealingRunner::step`] ticks the chip, feeds the tick's
 /// telemetry record to the [`HealthMonitor`], and — when cells stand
 /// condemned — re-places the retained logical network around them and
-/// hot-migrates. Failed attempts back off exponentially (in ticks, so the
-/// behaviour is deterministic) and, once the budget is exhausted, the
-/// runner degrades in place: the run continues on the damaged layout and
-/// recovery never crashes it.
+/// hot-migrates. Failed attempts climb a [`RecoveryEpisode`] on the
+/// policy's ladder, backing off exponentially (in ticks, so the behaviour
+/// is deterministic) and, once the ladder is exhausted, the runner degrades
+/// in place: the run continues on the damaged layout and recovery never
+/// crashes it.
 ///
 /// On a healthy chip the loop is a proven no-op: the monitor sees nothing,
 /// no replan ever runs, and the tick stream is bit-identical to an
@@ -100,10 +103,9 @@ pub struct SelfHealingRunner {
     compiled: CompiledNetwork,
     monitor: HealthMonitor,
     policy: RecoveryPolicy,
+    /// Condemned cells awaiting a successful migration.
     pending: Vec<(usize, usize)>,
-    failed_attempts: u32,
-    next_attempt_at: u64,
-    degraded: bool,
+    episode: RecoveryEpisode,
     stats: RecoveryStats,
     events: Vec<RecoveryEvent>,
 }
@@ -132,11 +134,9 @@ impl SelfHealingRunner {
             options,
             compiled,
             monitor,
+            episode: RecoveryEpisode::new(policy.ladder),
             policy,
             pending: Vec::new(),
-            failed_attempts: 0,
-            next_attempt_at: 0,
-            degraded: false,
             stats: RecoveryStats::default(),
             events: Vec::new(),
         })
@@ -169,7 +169,7 @@ impl SelfHealingRunner {
 
     /// True once the runner has given up migrating and runs degraded.
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.episode.exhausted()
     }
 
     /// Arms a fault plan on the running chip and retains it so migrated
@@ -218,7 +218,7 @@ impl SelfHealingRunner {
             self.pending.extend(report.condemned);
         }
 
-        if !self.pending.is_empty() && !self.degraded && now >= self.next_attempt_at {
+        if !self.pending.is_empty() && self.episode.due(now) {
             self.attempt_recovery(now);
         }
         fired
@@ -247,35 +247,28 @@ impl SelfHealingRunner {
                 self.events
                     .push(RecoveryEvent::Migrated { tick: now, moves });
                 self.pending.clear();
-                self.failed_attempts = 0;
-                self.next_attempt_at = 0;
+                self.episode.recovered();
                 // The layout changed discontinuously: stale streaks must
                 // not condemn the repaired placement.
                 self.monitor.reset_strikes();
             }
             Err(e) => {
-                self.failed_attempts += 1;
                 self.stats.failed_attempts += 1;
-                match self.policy.ladder.delay_after(self.failed_attempts) {
-                    None => {
-                        self.degraded = true;
-                        let err = RecoveryError::Exhausted {
-                            attempts: self.failed_attempts,
-                        };
-                        self.events.push(RecoveryEvent::DegradedInPlace {
-                            tick: now,
-                            error: format!("{err}: last error: {e}"),
-                        });
-                    }
-                    Some(backoff) => {
-                        self.next_attempt_at = now + backoff;
-                        self.events.push(RecoveryEvent::AttemptFailed {
-                            tick: now,
-                            error: e.to_string(),
-                            retry_at: self.next_attempt_at,
-                        });
-                    }
-                }
+                let event = match self.episode.failed(now) {
+                    FailedAttempt::Retry { at } => RecoveryEvent::AttemptFailed {
+                        tick: now,
+                        error: e.to_string(),
+                        retry_at: at,
+                    },
+                    FailedAttempt::Exhausted { attempts } => RecoveryEvent::DegradedInPlace {
+                        tick: now,
+                        error: format!(
+                            "{}: last error: {e}",
+                            RecoveryError::Exhausted { attempts }
+                        ),
+                    },
+                };
+                self.events.push(event);
             }
         }
     }

@@ -12,11 +12,16 @@
 //! and tenants are the workloads:
 //!
 //! * **Admission** — [`Fleet::admit`] caps live tenants, validates names
-//!   (they become on-disk state directories), and writes a genesis
-//!   checkpoint so every session has a recovery floor from tick 0. Later
+//!   (they become on-disk state directories), empties the tenant's
+//!   directory and writes a genesis checkpoint so every session has a
+//!   recovery floor from tick 0; [`Fleet::resume`] continues from the
+//!   directory instead. Later
 //!   cadence checkpoints are deltas — the state ticking changed — against
 //!   the newest full checkpoint; a session writes a full one again only
 //!   after a restore or a fault plan.
+//! * **Lifecycle** — a session's state is one [`SessionState`]: the
+//!   `Running` or `Degraded` lane, `Quarantined`, `Recovering` or
+//!   `Failed`. Every move between states resets the deadline streaks.
 //! * **Backpressure** — each tenant submits [`InjectCmd`]s into a
 //!   bounded queue ([`SubmitError::QueueFull`]); a fleet-wide backlog
 //!   watermark sheds load with hysteresis
@@ -27,12 +32,17 @@
 //!   (`cores_evaluated + spikes`, both invariant across thread counts)
 //!   makes demotion → quarantine decisions bit-identical on every host;
 //!   the wall-clock meter serves production. Hysteresis streaks guard
-//!   every lane move.
+//!   every lane move; a round without a miss is clean under any budget,
+//!   so probation on the degraded lane always ends.
 //! * **Crash isolation** — a core panic inside one tenant's chip is
 //!   contained by [`brainsim_chip::Chip::try_tick`], journaled, and
 //!   healed by restoring the newest verifying BSNP checkpoint (walking
-//!   past corrupt files) and replaying the session's logged injections,
-//!   under a capped-exponential [`BackoffLadder`].
+//!   past corrupt files) and replaying the session's logged injections.
+//!   Attempts climb a [`brainsim_chip::RecoveryEpisode`] on the
+//!   capped-exponential [`BackoffLadder`], the one the self-healing runner
+//!   climbs in ticks. A restore never lands below the tick the session's
+//!   inject log starts at (a resumed session's log starts at the resumed
+//!   tick), so a recovered session never silently diverges.
 //!   Other tenants never miss a tick and stay bit-identical to solo
 //!   runs; a ladder that exhausts yields a typed, terminal
 //!   [`SessionState::Failed`].
@@ -45,7 +55,9 @@
 //! order, workers drive disjoint sessions, and outcomes are re-sorted by
 //! slot before any supervision decision is applied — so the full event
 //! journal is invariant across `workers ∈ {1, 2, 8, …}`.
-//! `tests/serve.rs` proves it differentially, under chaos.
+//! `tests/serve.rs` proves it differentially, under chaos, and
+//! `tests/supervision_model.rs` checks every supervision decision against
+//! a reference model over seeded random operation sequences.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +71,7 @@ mod session;
 pub use config::{BudgetMeter, DeadlinePolicy, ServeConfig};
 pub use error::{AdmitError, SubmitError};
 pub use fleet::{Fleet, FleetEvent, RoundReport, SessionView, TenantReport};
-pub use session::{InjectCmd, Lane, SessionFailure, SessionMetrics, SessionState};
+pub use session::{InjectCmd, SessionFailure, SessionMetrics, SessionState};
 
 // The ladder vocabulary the config speaks, re-exported so serving
 // callers need only this crate.

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use brainsim_chip::{BaseRef, Chip};
+use brainsim_chip::{BackoffLadder, BaseRef, Chip, RecoveryEpisode};
 
 use crate::config::BudgetMeter;
 
@@ -29,16 +29,6 @@ pub struct InjectCmd {
     pub target_tick: u64,
 }
 
-/// Which service lane a session is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Full service rate (`ticks_per_round`).
-    Healthy,
-    /// Demoted rate (`degraded_ticks_per_round`) after repeated deadline
-    /// misses, or on probation after quarantine / crash recovery.
-    Degraded,
-}
-
 /// A terminal session failure: recovery exhausted its ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionFailure {
@@ -50,12 +40,15 @@ pub struct SessionFailure {
     pub reason: String,
 }
 
-/// Where a session is in its lifecycle (the public view).
+/// Where a session is in its lifecycle. `Running` and `Degraded` are the
+/// two service lanes a live session ticks in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionState {
-    /// Live in the healthy lane.
+    /// Live in the healthy lane, at `ticks_per_round`.
     Running,
-    /// Live in the degraded lane.
+    /// Live in the degraded lane, at `degraded_ticks_per_round`: demoted
+    /// after repeated deadline misses, or on probation after quarantine,
+    /// crash recovery or resume.
     Degraded,
     /// Sitting out; not ticked until `until_round`.
     Quarantined {
@@ -70,15 +63,6 @@ pub enum SessionState {
         next_attempt_round: u64,
     },
     /// Terminally failed; will never tick again.
-    Failed(SessionFailure),
-}
-
-/// Internal lifecycle mode (the fleet's working state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Mode {
-    Live,
-    Quarantined { until_round: u64 },
-    Recovering { next_attempt_round: u64 },
     Failed(SessionFailure),
 }
 
@@ -149,14 +133,14 @@ pub(crate) struct Session {
     /// Bounded inject queue, kept sorted by `target_tick` (stable for
     /// equal ticks, preserving submission order).
     pub queue: VecDeque<InjectCmd>,
-    pub lane: Lane,
-    pub mode: Mode,
+    pub state: SessionState,
+    /// The crash-recovery ladder: failed attempts since the last recovery
+    /// and the round of the next.
+    pub episode: RecoveryEpisode,
     /// Consecutive rounds with ≥ 1 budget miss.
     pub miss_streak: u32,
     /// Consecutive rounds with zero misses.
     pub clean_streak: u32,
-    /// Failed attempts in the *current* recovery episode.
-    pub recovery_attempts: u32,
     /// Running FNV-1a checksum over `(tick, outputs)` — the session's
     /// externally observable history, used by the differential tests and
     /// carried in every checkpoint's application section.
@@ -164,6 +148,10 @@ pub(crate) struct Session {
     /// Injections applied since the oldest retained checkpoint, in
     /// application order; replayed on restore.
     pub inject_log: Vec<InjectCmd>,
+    /// The oldest tick a restore may land on: the log holds every
+    /// injection applied since. 0 for a fresh session; the resumed tick for
+    /// a resumed one, whose log died with the previous process.
+    pub replay_floor: u64,
     pub last_checkpoint_tick: u64,
     /// The full checkpoint this session's deltas are taken against: `None`
     /// until one is written, and again after every restore, whose chip has
@@ -202,40 +190,35 @@ pub(crate) fn fold_tick(hash: &mut u64, tick: u64, outputs: &[u32]) {
 }
 
 impl Session {
-    pub(crate) fn new(tenant: String, chip: Chip) -> Session {
+    pub(crate) fn new(tenant: String, chip: Chip, recovery: BackoffLadder) -> Session {
         Session {
             tenant,
             chip,
             queue: VecDeque::new(),
-            lane: Lane::Healthy,
-            mode: Mode::Live,
+            state: SessionState::Running,
+            episode: RecoveryEpisode::new(recovery),
             miss_streak: 0,
             clean_streak: 0,
-            recovery_attempts: 0,
             checksum: FNV_OFFSET,
             inject_log: Vec::new(),
+            replay_floor: 0,
             last_checkpoint_tick: 0,
             base: None,
             metrics: SessionMetrics::default(),
         }
     }
 
-    /// The public view of the internal mode + lane pair.
-    pub(crate) fn state(&self) -> SessionState {
-        match &self.mode {
-            Mode::Live => match self.lane {
-                Lane::Healthy => SessionState::Running,
-                Lane::Degraded => SessionState::Degraded,
-            },
-            Mode::Quarantined { until_round } => SessionState::Quarantined {
-                until_round: *until_round,
-            },
-            Mode::Recovering { next_attempt_round } => SessionState::Recovering {
-                attempts: self.recovery_attempts,
-                next_attempt_round: *next_attempt_round,
-            },
-            Mode::Failed(failure) => SessionState::Failed(failure.clone()),
-        }
+    /// True in either service lane: the session ticks and checkpoints.
+    pub(crate) fn live(&self) -> bool {
+        matches!(self.state, SessionState::Running | SessionState::Degraded)
+    }
+
+    /// Moves to `state` with fresh deadline streaks: every lane move
+    /// starts its hysteresis over.
+    pub(crate) fn enter(&mut self, state: SessionState) {
+        self.state = state;
+        self.miss_streak = 0;
+        self.clean_streak = 0;
     }
 
     /// Inserts `cmd` keeping the queue sorted by `target_tick`, stable
@@ -334,7 +317,7 @@ mod tests {
 
     #[test]
     fn enqueue_keeps_target_order_stably() {
-        let mut s = Session::new("t".into(), relay_chip());
+        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
         for (word, tick) in [(3, 9), (1, 5), (2, 5), (4, 1)] {
             s.enqueue(InjectCmd {
                 x: 0,
@@ -351,7 +334,7 @@ mod tests {
 
     #[test]
     fn drive_applies_due_commands_and_drops_stale_ones() {
-        let mut s = Session::new("t".into(), relay_chip());
+        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
         // Due at tick 1 → relay fires, output port 7 at tick 1.
         s.enqueue(InjectCmd {
             x: 0,
@@ -405,7 +388,7 @@ mod tests {
 
     #[test]
     fn cost_budget_marks_over_budget_ticks() {
-        let mut s = Session::new("t".into(), relay_chip());
+        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
         s.enqueue(InjectCmd {
             x: 0,
             y: 0,

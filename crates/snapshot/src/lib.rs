@@ -29,7 +29,10 @@
 //!   that keeps the bases retained deltas name, and
 //!   [`CheckpointPolicy::load_newest_verifying`], which resolves deltas
 //!   through the [`Checkpoint`] trait and falls back past a corrupt latest
-//!   snapshot or a lost base.
+//!   snapshot or a lost base. Beside it, the retry vocabulary: wall-clock
+//!   [`RetryPolicy`] for writes, and the step-counted [`BackoffLadder`]
+//!   with its [`RecoveryEpisode`], the one recovery ladder the
+//!   self-healing runner and the serving fleet both drive.
 //!
 //! The chip-level assembly — `Chip::checkpoint()` / `Chip::restore()` and
 //! the `Snapshot` type — lives in `brainsim-chip`, which composes these
@@ -67,6 +70,6 @@ pub use container::{
 pub use crc::crc32;
 pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError};
 pub use policy::{
-    BackoffLadder, Checkpoint, CheckpointPolicy, NewestVerifying, RetryPolicy, SaveError,
-    SkippedCheckpoint,
+    BackoffLadder, Checkpoint, CheckpointPolicy, FailedAttempt, NewestVerifying, RecoveryEpisode,
+    RetryPolicy, SaveError, SkippedCheckpoint,
 };

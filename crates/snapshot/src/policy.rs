@@ -117,6 +117,85 @@ impl Default for BackoffLadder {
     }
 }
 
+/// One recovery episode on a [`BackoffLadder`]: the attempts that failed
+/// since the last recovery, and the step at which the next may run. Pure
+/// bookkeeping, with no I/O and no clock; the self-healing runner counts
+/// steps in ticks and the serving fleet in rounds.
+///
+/// A fresh episode is due at once, so a first attempt never waits. Each
+/// failure either schedules a retry up the ladder or exhausts it, after
+/// which the episode is never due again. [`RecoveryEpisode::recovered`]
+/// closes the episode and leaves it fresh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryEpisode {
+    ladder: BackoffLadder,
+    failed: u32,
+    /// Step of the next attempt; `None` once the ladder is exhausted.
+    next_at: Option<u64>,
+}
+
+/// What [`RecoveryEpisode::failed`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailedAttempt {
+    /// Try again at step `at`.
+    Retry {
+        /// The step of the next attempt.
+        at: u64,
+    },
+    /// The ladder is exhausted: escalate (degrade in place, fail the
+    /// session).
+    Exhausted {
+        /// Attempts made in the episode.
+        attempts: u32,
+    },
+}
+
+impl RecoveryEpisode {
+    /// A fresh episode on `ladder`.
+    pub fn new(ladder: BackoffLadder) -> RecoveryEpisode {
+        RecoveryEpisode {
+            ladder,
+            failed: 0,
+            next_at: Some(0),
+        }
+    }
+
+    /// True when an attempt may run at step `now`.
+    pub fn due(&self, now: u64) -> bool {
+        self.next_at.is_some_and(|at| now >= at)
+    }
+
+    /// Records an attempt that failed at step `now` and climbs the ladder.
+    pub fn failed(&mut self, now: u64) -> FailedAttempt {
+        self.failed = self.failed.saturating_add(1);
+        self.next_at = self
+            .ladder
+            .delay_after(self.failed)
+            .map(|delay| now.saturating_add(delay));
+        match self.next_at {
+            Some(at) => FailedAttempt::Retry { at },
+            None => FailedAttempt::Exhausted {
+                attempts: self.failed,
+            },
+        }
+    }
+
+    /// Closes the episode after a successful attempt.
+    pub fn recovered(&mut self) {
+        *self = RecoveryEpisode::new(self.ladder);
+    }
+
+    /// Attempts that failed in this episode.
+    pub fn attempts(&self) -> u32 {
+        self.failed
+    }
+
+    /// True once the ladder is exhausted.
+    pub fn exhausted(&self) -> bool {
+        self.next_at.is_none()
+    }
+}
+
 /// A checkpoint write that failed on every permitted attempt.
 #[derive(Debug)]
 pub struct SaveError {
@@ -748,6 +827,43 @@ mod tests {
         // Huge failure counts must not overflow the shift.
         let l = BackoffLadder::new(u64::MAX, u64::MAX, u32::MAX);
         assert_eq!(l.delay_after(70), Some(u64::MAX));
+    }
+
+    #[test]
+    fn an_episode_attempts_at_once_then_backs_off_until_exhausted() {
+        let mut episode = RecoveryEpisode::new(BackoffLadder::new(8, 20, 4));
+        // The first attempt never waits.
+        assert!(episode.due(0) && episode.due(100));
+        assert_eq!(episode.failed(100), FailedAttempt::Retry { at: 108 });
+        assert!(!episode.due(107) && episode.due(108));
+        assert_eq!(episode.failed(108), FailedAttempt::Retry { at: 124 });
+        assert_eq!(episode.failed(124), FailedAttempt::Retry { at: 144 }); // capped
+        assert_eq!(episode.attempts(), 3);
+        assert!(!episode.exhausted());
+        assert_eq!(
+            episode.failed(144),
+            FailedAttempt::Exhausted { attempts: 4 }
+        );
+        assert!(episode.exhausted());
+        assert!(!episode.due(u64::MAX), "an exhausted episode is never due");
+    }
+
+    #[test]
+    fn a_recovered_episode_starts_over() {
+        let ladder = BackoffLadder::new(2, 16, 3);
+        let mut episode = RecoveryEpisode::new(ladder);
+        assert_eq!(episode.failed(5), FailedAttempt::Retry { at: 7 });
+        episode.recovered();
+        assert_eq!(episode, RecoveryEpisode::new(ladder));
+        assert!(episode.due(0));
+        // The next episode climbs from the bottom rung again.
+        assert_eq!(episode.failed(9), FailedAttempt::Retry { at: 11 });
+
+        // Exhaustion is reset too; a one-attempt ladder exhausts at once.
+        let mut once = RecoveryEpisode::new(BackoffLadder::new(1, 1, 1));
+        assert_eq!(once.failed(3), FailedAttempt::Exhausted { attempts: 1 });
+        once.recovered();
+        assert!(once.due(3) && !once.exhausted() && once.attempts() == 0);
     }
 
     #[test]

@@ -663,9 +663,10 @@ fn an_unprunable_checkpoint_fails_no_write() {
         ..ServeConfig::default()
     };
     let mut fleet = Fleet::new(config, &dir);
+    // After the admit, which empties the tenant's directory.
+    fleet.admit("t", tenant_chip(5)).expect("admit");
     let blocker = CheckpointPolicy::path_for(&fleet.tenant_state_dir("t"), 10);
     std::fs::create_dir_all(blocker.join("occupied")).expect("create blocker");
-    fleet.admit("t", tenant_chip(5)).expect("admit");
     let mut upto = 0;
     for _ in 0..10 {
         top_up(&mut fleet, "t", 5, &mut upto);
@@ -690,6 +691,164 @@ fn an_unprunable_checkpoint_fails_no_write() {
     fleet.run_round();
     let view = fleet.session("t").expect("view");
     assert_eq!(view.metrics.recoveries, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn probation_ends_under_the_default_deadline_policy() {
+    // `DeadlinePolicy::default()` meters nothing (`BudgetMeter::Unlimited`),
+    // so every driven round is clean: a recovered session must be back on
+    // the healthy lane after `promote_after` rounds of probation.
+    let dir = tmpdir("probation");
+    let config = ServeConfig {
+        workers: 1,
+        ticks_per_round: 4,
+        degraded_ticks_per_round: 1,
+        checkpoint_every: 8,
+        ..ServeConfig::default()
+    };
+    let promote_after = config.deadline.promote_after;
+    let mut fleet = Fleet::new(config, &dir);
+    fleet.admit("t", tenant_chip(3)).expect("admit");
+    let mut upto = 0;
+    for _ in 0..3 {
+        top_up(&mut fleet, "t", 3, &mut upto);
+        fleet.run_round();
+    }
+    assert!(fleet.chaos_poison_core("t", 0));
+    top_up(&mut fleet, "t", 3, &mut upto);
+    fleet.run_round();
+    let view = fleet.session("t").expect("view");
+    assert_eq!(view.metrics.recoveries, 1);
+    assert_eq!(view.state, SessionState::Degraded);
+
+    for round in 1..=promote_after {
+        top_up(&mut fleet, "t", 3, &mut upto);
+        fleet.run_round();
+        let expected = if round < promote_after {
+            SessionState::Degraded
+        } else {
+            SessionState::Running
+        };
+        assert_eq!(fleet.session("t").expect("view").state, expected);
+    }
+    let view = fleet.session("t").expect("view");
+    assert_eq!(view.metrics.promotions, 1);
+    assert_eq!(view.metrics.deadline_misses, 0);
+    assert!(fleet
+        .drain_events()
+        .iter()
+        .any(|e| matches!(e, FleetEvent::Promoted { .. })));
+    assert_eq!(
+        view.checksum,
+        solo_checksum(tenant_chip(3), 3, view.ticks, true)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fresh_admit_does_not_inherit_an_earlier_runs_checkpoints() {
+    let dir = tmpdir("fresh-admit");
+    let config = ServeConfig {
+        workers: 1,
+        ticks_per_round: 4,
+        checkpoint_every: 8,
+        checkpoint_keep: 3,
+        ..ServeConfig::default()
+    };
+
+    // Life 1: chip A runs past three cadence checkpoints; the fleet dies.
+    let mut fleet = Fleet::new(config.clone(), &dir);
+    fleet.admit("t", tenant_chip(1)).expect("admit A");
+    let mut upto = 0;
+    for _ in 0..8 {
+        top_up(&mut fleet, "t", 1, &mut upto);
+        fleet.run_round();
+    }
+    assert!(
+        fleet
+            .session("t")
+            .expect("view")
+            .metrics
+            .checkpoints_written
+            >= 4
+    );
+    drop(fleet);
+
+    // Life 2: a different chip B under the same name, admitted afresh (not
+    // resumed) and poisoned in its first round. B must recover from its
+    // own genesis, not from A's newer checkpoints.
+    let chip_b = || echo_chip(3, 2);
+    let mut fleet = Fleet::new(config, &dir);
+    fleet.admit("t", chip_b()).expect("admit B");
+    assert!(fleet.chaos_poison_core("t", 0));
+    let mut upto = 0;
+    top_up(&mut fleet, "t", 2, &mut upto);
+    fleet.run_round();
+    assert!(fleet.drain_events().iter().any(|e| matches!(
+        e,
+        FleetEvent::Recovered {
+            from_tick: 0,
+            corrupt_skipped: 0,
+            ..
+        }
+    )));
+    for _ in 0..3 {
+        top_up(&mut fleet, "t", 2, &mut upto);
+        fleet.run_round();
+    }
+    let view = fleet.session("t").expect("view");
+    assert!(view.ticks > 0);
+    assert_eq!(view.checksum, solo_checksum(chip_b(), 2, view.ticks, true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resumed_session_never_restores_from_before_its_resume_tick() {
+    // A resumed session's inject log starts at the resumed tick: the
+    // injections before it died with the previous process. Once the newest
+    // checkpoint rots, an older one on disk cannot be replayed to the
+    // present, so recovery must fail typed instead of landing there and
+    // diverging from the uninterrupted run.
+    let dir = tmpdir("replay-floor");
+    let config = ServeConfig {
+        workers: 1,
+        ticks_per_round: 4,
+        checkpoint_every: 8,
+        checkpoint_keep: 3,
+        ..ServeConfig::default()
+    };
+    let mut fleet = Fleet::new(config.clone(), &dir);
+    fleet.admit("t", tenant_chip(4)).expect("admit");
+    let mut upto = 0;
+    for _ in 0..6 {
+        top_up(&mut fleet, "t", 4, &mut upto);
+        fleet.run_round();
+    }
+    drop(fleet);
+
+    let mut fleet = Fleet::new(config, &dir);
+    fleet.resume("t", tenant_chip(4)).expect("resume");
+    let files = CheckpointPolicy::list(&fleet.tenant_state_dir("t")).expect("list");
+    let ticks: Vec<u64> = files.iter().map(|(tick, _)| *tick).collect();
+    assert_eq!(ticks, vec![8, 16, 24]);
+    flip_last_byte(&files[2].1);
+    assert!(fleet.chaos_poison_core("t", 0));
+    let mut upto = 24;
+    top_up(&mut fleet, "t", 4, &mut upto);
+    fleet.run_round();
+
+    let view = fleet.session("t").expect("view");
+    assert!(
+        matches!(view.state, SessionState::Recovering { attempts: 1, .. }),
+        "{:?}",
+        view.state
+    );
+    assert!(fleet.drain_events().iter().any(|e| matches!(
+        e,
+        FleetEvent::RecoveryAttemptFailed { reason, .. }
+            if reason == "no verifying checkpoint since tick 24"
+    )));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
