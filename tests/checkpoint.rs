@@ -426,6 +426,36 @@ fn a_serving_tenant_delta_is_an_eighth_of_its_full_checkpoint() {
 }
 
 #[test]
+fn a_telemetry_summary_that_does_not_fit_the_grid_is_refused() {
+    // Every core-detail tick indexes both per-core vectors of the run
+    // summary by core, so a checkpoint whose vectors are short must fail
+    // to restore, not restore and panic on the next tick. The damage is
+    // re-encoded, so every CRC is recomputed over it.
+    use brainsim_bench::corpus::{self, build_workload};
+    let def = corpus::find("nemo_8x8_hi").expect("corpus entry exists");
+    let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+    chip.enable_telemetry(TelemetryConfig::default());
+    let drive_seed = brainsim_bench::sweep::lane_drive_seed(&def, 0);
+    brainsim_bench::drive_random(&mut chip, 20, def.drive_rate, drive_seed);
+    let good = chip.checkpoint();
+    assert!(Chip::restore(good.clone()).is_ok());
+    for short_spikes in [false, true] {
+        let mut bad = good.clone();
+        let summary = &mut bad.telemetry.as_mut().expect("telemetry on").summary;
+        if short_spikes {
+            summary.core_spikes.pop();
+        } else {
+            summary.core_synaptic_events.pop();
+        }
+        let bad = Snapshot::from_bytes(&bad.to_bytes()).expect("the damage decodes");
+        assert!(
+            matches!(Chip::restore(bad), Err(RestoreError::Invalid(_))),
+            "short core_spikes: {short_spikes}"
+        );
+    }
+}
+
+#[test]
 fn default_config_checkpoint_bytes_are_pinned() {
     // The BSNP layout is a compatibility surface: each pin is the FNV-1a of
     // the checkpoint bytes of corpus entry `nemo_8x8_lo` after 50 driven
