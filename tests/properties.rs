@@ -262,26 +262,27 @@ proptest! {
         let active: Vec<usize> = (0..axons)
             .filter(|&a| all_active || active_mask[a])
             .collect();
-        // Scalar reference: per-bit row walk, the sparse strategy's loop.
-        let mut want = vec![0u32; neurons * 4];
+        // Scalar reference: per-bit row walk, the sparse strategy's loop,
+        // in the planar layout `[ty * neurons + neuron]` the core reads.
+        let mut want = vec![0u16; neurons * 4];
         for &a in &active {
             for n in xb.row_neurons(a) {
-                want[n * 4 + types[a]] += 1;
+                want[types[a] * neurons + n] += 1;
             }
         }
         let mut kernel = SwarKernel::new(neurons);
-        let mut got = vec![0u32; neurons * 4];
+        let mut got = vec![0u16; neurons * 4];
         for &a in &active {
             kernel.accumulate_row(types[a], xb.row_words(a));
         }
-        kernel.flush_into(&mut got);
+        kernel.flush_planar(&mut got);
         prop_assert_eq!(&got, &want, "ascending row order");
         // Same kernel instance reversed: planes must have fully cleared.
         got.fill(0);
         for &a in active.iter().rev() {
             kernel.accumulate_row(types[a], xb.row_words(a));
         }
-        kernel.flush_into(&mut got);
+        kernel.flush_planar(&mut got);
         prop_assert_eq!(&got, &want, "descending row order");
     }
 
