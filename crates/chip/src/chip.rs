@@ -4,6 +4,7 @@
 //! record — lives in the [`tick`] module, with its execution model.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use brainsim_core::{CoreStats, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
 use brainsim_energy::EventCensus;
@@ -72,6 +73,13 @@ impl fmt::Display for TickError {
 }
 
 impl std::error::Error for TickError {}
+
+/// A structure generation no chip in this process has had yet: the chip's
+/// tables are new, whether built, restored or changed by a fault plan.
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The neurons a tick charges one update each, over all `cores`: an
 /// evaluated core charges them in its own tick and a skipped core through
@@ -152,9 +160,10 @@ pub struct Chip {
     /// never serialised — a restored chip is always on the production
     /// scheduler.
     sweep_reference: bool,
-    /// Bumped by every [`Chip::set_fault_plan`] that changes anything:
-    /// the only mutation of the tables a [`SnapshotDelta`] leaves to its
-    /// base.
+    /// Drawn fresh by [`fresh_generation`] when the chip is built or
+    /// restored and at every [`Chip::set_fault_plan`] that changes
+    /// anything, the only mutation of the tables a [`SnapshotDelta`] leaves
+    /// to its base.
     generation: u64,
     /// [`neurons_updated_per_tick`] of the cores, cached for the telemetry
     /// record's energy delta; only a fault plan can change it.
@@ -187,16 +196,19 @@ impl Chip {
             effective_threads,
             active_set: None,
             sweep_reference,
-            generation: 0,
+            generation: fresh_generation(),
             scratch: TickScratch::default(),
         }
     }
 
-    /// The structure generation: a counter that only
-    /// [`Chip::set_fault_plan`] moves. While it stands still, the chip's
-    /// tables (wiring, neuron parameters, crossbars, fault masks, the plan)
-    /// are those of any full checkpoint taken since it last moved, so a
-    /// [`SnapshotDelta`] against that checkpoint captures the chip.
+    /// The structure generation: a token of the chip's tables (wiring,
+    /// neuron parameters, crossbars, fault masks, the plan), unique in the
+    /// process. Building or restoring a chip draws a new one, and so does
+    /// every [`Chip::set_fault_plan`] that changes anything; a clone shares
+    /// its original's until either changes. Two chips with the same
+    /// generation therefore have the same tables, and a [`SnapshotDelta`]
+    /// against a full checkpoint taken at this generation captures the
+    /// chip. [`crate::CheckpointStore`] writes a delta exactly then.
     pub fn structure_generation(&self) -> u64 {
         self.generation
     }
@@ -282,7 +294,7 @@ impl Chip {
             None
         };
         self.plan = Some(*plan);
-        self.generation += 1;
+        self.generation = fresh_generation();
     }
 
     /// Enables per-tick telemetry collection from the next tick on. Any
@@ -1509,15 +1521,18 @@ pub(crate) mod tests {
     #[test]
     fn snapshot_survives_the_file_layer() {
         let dir = std::env::temp_dir().join(format!("brainsim-chip-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chip.bsnp");
+        std::fs::remove_dir_all(&dir).ok();
         let mut chip = relay_chain(3, 1);
         chip.inject(0, 0, 0, 0).unwrap();
         chip.run(2);
-        chip.checkpoint().save(&path).expect("save");
-        let loaded = Snapshot::load(&path).expect("load");
-        assert_eq!(loaded, chip.checkpoint());
-        let mut resumed = Chip::restore(loaded).expect("restore");
+        let mut store = crate::CheckpointStore::open(
+            &dir,
+            brainsim_snapshot::CheckpointPolicy::default(),
+            brainsim_snapshot::RetryPolicy::default(),
+        );
+        store.write(&chip, &[]).expect("write");
+        let mut resumed = store.restore(0).0.expect("restore").chip;
+        assert_eq!(resumed.checkpoint(), chip.checkpoint());
         for _ in 0..4 {
             assert_eq!(resumed.tick(), chip.tick());
         }

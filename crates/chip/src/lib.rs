@@ -59,6 +59,7 @@ mod chip;
 mod config;
 mod shards;
 mod snapshot;
+mod store;
 pub mod trace;
 
 pub use batch::{BatchError, BatchTickError, ChipBatch};
@@ -67,14 +68,15 @@ pub use chip::{Chip, InjectError, TickError, TickSummary};
 pub use config::{ChipConfig, TileConfig};
 pub use shards::run_shards;
 pub use snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
+pub use store::{CheckpointStore, Restored, ResumeError};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so
 // instrumented callers need only this crate.
 pub use brainsim_telemetry::{TelemetryConfig, TelemetryLog, TickRecord};
 
-// The snapshot error/policy vocabulary used by `Chip::restore` and the
-// checkpoint cadence helpers, re-exported so checkpointing callers need
-// only this crate.
+// The snapshot error/policy vocabulary used by `Chip::restore` and
+// `CheckpointStore`, re-exported so checkpointing callers need only this
+// crate.
 pub use brainsim_snapshot::{
     BackoffLadder, BaseRef, CheckpointPolicy, FailedAttempt, RecoveryEpisode, RestoreError,
     RetryPolicy, SaveError, SkippedCheckpoint, SnapshotIoError,

@@ -5,8 +5,8 @@
 //! A [`Snapshot`] is the typed, in-memory image [`crate::Chip::checkpoint`]
 //! produces and [`crate::Chip::restore`] consumes. [`Snapshot::to_bytes`] /
 //! [`Snapshot::from_bytes`] map it onto the versioned, CRC-checksummed
-//! section container; [`Snapshot::save`] / [`Snapshot::load`] add
-//! crash-consistent file IO (write-temp → fsync → rename).
+//! section container; [`crate::CheckpointStore`] adds crash-consistent
+//! file IO (write-temp → fsync → rename).
 //!
 //! Section layout (tags from [`SectionId`]):
 //!
@@ -26,15 +26,12 @@
 //! above. It has no `cores` or `faults` section: those tables change only
 //! under [`crate::Chip::set_fault_plan`], and the base holds them.
 
-use std::path::Path;
-
 use brainsim_core::{CoreDynamics, CoreState};
 use brainsim_faults::{FaultPlan, FaultStats};
 use brainsim_snapshot::codec;
 use brainsim_snapshot::wire::{Reader, WireError, Writer};
 use brainsim_snapshot::{
-    decode_container, load_verified, save_atomic, BaseRef, Checkpoint, ContainerWriter,
-    RestoreError, SectionId, SnapshotIoError,
+    decode_container, BaseRef, Checkpoint, ContainerWriter, RestoreError, SectionId,
 };
 use brainsim_telemetry::{RunSummary, TelemetryConfig};
 
@@ -422,30 +419,6 @@ impl Snapshot {
         self.telemetry = delta.telemetry;
         self.app = delta.app;
         Ok(self)
-    }
-
-    /// Writes the snapshot to `path` crash-consistently (write-temp →
-    /// fsync → rename): a crash at any instant leaves `path` either absent
-    /// or holding its complete previous content.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotIoError::Io`] when the filesystem fails.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotIoError> {
-        save_atomic(path, &self.to_bytes()).map_err(SnapshotIoError::Io)
-    }
-
-    /// Reads and decodes the snapshot at `path`, verifying every section
-    /// CRC along the way.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotIoError::Io`] when the file cannot be read,
-    /// [`SnapshotIoError::Restore`] when its bytes are not a valid
-    /// snapshot.
-    pub fn load(path: &Path) -> Result<Snapshot, SnapshotIoError> {
-        let bytes = load_verified(path)?;
-        Ok(Snapshot::from_bytes(&bytes)?)
     }
 }
 

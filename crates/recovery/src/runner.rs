@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use brainsim_chip::Chip;
+use brainsim_chip::{CheckpointStore, Chip};
 use brainsim_compiler::{compile, repair, CompileError, CompileOptions, CompiledNetwork, CoreMove};
 use brainsim_corelet::LogicalNetwork;
 use brainsim_faults::FaultPlan;
@@ -25,7 +25,9 @@ pub struct RecoveryPolicy {
     pub ladder: BackoffLadder,
     /// When set, every migration first persists the pre-migration
     /// checkpoint here (with [`RetryPolicy`]-guarded writes), so a crash
-    /// mid-migration can resume from the last consistent state.
+    /// mid-migration can resume from the last consistent state. The runner
+    /// owns the directory's checkpoints: [`SelfHealingRunner::new`] clears
+    /// an earlier run's, and the newest two are kept.
     pub checkpoint_dir: Option<PathBuf>,
     /// Retry budget for the persisted checkpoint write.
     pub checkpoint_retry: RetryPolicy,
@@ -102,7 +104,9 @@ pub struct SelfHealingRunner {
     options: CompileOptions,
     compiled: CompiledNetwork,
     monitor: HealthMonitor,
-    policy: RecoveryPolicy,
+    /// Where pre-migration checkpoints go, when the policy names a
+    /// directory.
+    store: Option<CheckpointStore>,
     /// Condemned cells awaiting a successful migration.
     pending: Vec<(usize, usize)>,
     episode: RecoveryEpisode,
@@ -129,13 +133,21 @@ impl SelfHealingRunner {
         });
         let (w, h) = compiled.network_map().grid;
         let monitor = HealthMonitor::new(policy.detectors, w, h);
+        let store = policy.checkpoint_dir.as_ref().map(|dir| {
+            let mut store =
+                CheckpointStore::open(dir, CheckpointPolicy::new(1, 2), policy.checkpoint_retry);
+            // A file the clear cannot remove is left to the first write to
+            // trip on, where the recovery ladder meters it.
+            let _ = store.clear();
+            store
+        });
         Ok(SelfHealingRunner {
             net,
             options,
             compiled,
             monitor,
             episode: RecoveryEpisode::new(policy.ladder),
-            policy,
+            store,
             pending: Vec::new(),
             stats: RecoveryStats::default(),
             events: Vec::new(),
@@ -240,7 +252,7 @@ impl SelfHealingRunner {
     }
 
     fn attempt_recovery(&mut self, now: u64) {
-        match self.try_recover(now) {
+        match self.try_recover() {
             Ok(moves) => {
                 self.stats.migrations += 1;
                 self.stats.cores_moved += moves.len() as u64;
@@ -273,18 +285,12 @@ impl SelfHealingRunner {
         }
     }
 
-    fn try_recover(&mut self, now: u64) -> Result<Vec<CoreMove>, RecoveryError> {
+    fn try_recover(&mut self) -> Result<Vec<CoreMove>, RecoveryError> {
         let map = self.compiled.network_map().clone();
         let mut repaired = repair(&self.net, &self.options, &map, &self.pending)?;
 
-        if let Some(dir) = &self.policy.checkpoint_dir {
-            let bytes = self.compiled.chip().checkpoint().to_bytes();
-            CheckpointPolicy::new(1, 2).save_with_retry(
-                dir,
-                now,
-                &bytes,
-                &self.policy.checkpoint_retry,
-            )?;
+        if let Some(store) = &mut self.store {
+            store.write(self.compiled.chip(), &[])?;
         }
 
         hot_migrate(self.compiled.chip(), &mut repaired)?;

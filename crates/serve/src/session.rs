@@ -2,11 +2,12 @@
 //! deadline lane, and the per-tenant accounting the fleet exports.
 
 use std::collections::VecDeque;
+use std::path::Path;
 use std::time::Instant;
 
-use brainsim_chip::{BackoffLadder, BaseRef, Chip, RecoveryEpisode};
+use brainsim_chip::{CheckpointPolicy, CheckpointStore, Chip, RecoveryEpisode, SaveError};
 
-use crate::config::BudgetMeter;
+use crate::config::{BudgetMeter, ServeConfig};
 
 /// One queued word injection: axons `word*64 + set bits` of core
 /// `(x, y)` receive an event for `target_tick`.
@@ -152,21 +153,10 @@ pub(crate) struct Session {
     /// injection applied since. 0 for a fresh session; the resumed tick for
     /// a resumed one, whose log died with the previous process.
     pub replay_floor: u64,
-    pub last_checkpoint_tick: u64,
-    /// The full checkpoint this session's deltas are taken against: `None`
-    /// until one is written, and again after every restore, whose chip has
-    /// the tables of whichever checkpoint it came from.
-    pub base: Option<Base>,
+    /// The tenant's checkpoint directory, its delta base and its newest
+    /// checkpoint tick.
+    pub store: CheckpointStore,
     pub metrics: SessionMetrics,
-}
-
-/// A session's delta base: the full checkpoint, and the chip's structure
-/// generation when it was written. A delta is valid while the generation
-/// stands still.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Base {
-    pub id: BaseRef,
-    pub generation: u64,
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -190,20 +180,27 @@ pub(crate) fn fold_tick(hash: &mut u64, tick: u64, outputs: &[u32]) {
 }
 
 impl Session {
-    pub(crate) fn new(tenant: String, chip: Chip, recovery: BackoffLadder) -> Session {
+    /// A running session whose checkpoints go to `state_dir/<tenant>/`.
+    pub(crate) fn new(
+        tenant: String,
+        chip: Chip,
+        config: &ServeConfig,
+        state_dir: &Path,
+    ) -> Session {
+        let policy = CheckpointPolicy::new(config.checkpoint_every, config.checkpoint_keep);
+        let store = CheckpointStore::open(state_dir.join(&tenant), policy, config.checkpoint_retry);
         Session {
             tenant,
             chip,
             queue: VecDeque::new(),
             state: SessionState::Running,
-            episode: RecoveryEpisode::new(recovery),
+            episode: RecoveryEpisode::new(config.recovery),
             miss_streak: 0,
             clean_streak: 0,
             checksum: FNV_OFFSET,
             inject_log: Vec::new(),
             replay_floor: 0,
-            last_checkpoint_tick: 0,
-            base: None,
+            store,
             metrics: SessionMetrics::default(),
         }
     }
@@ -219,6 +216,19 @@ impl Session {
         self.state = state;
         self.miss_streak = 0;
         self.clean_streak = 0;
+    }
+
+    /// Writes a checkpoint carrying the running checksum in the application
+    /// section, then prunes the inject log to the oldest retained
+    /// checkpoint: entries older than every restore floor can never replay.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), SaveError> {
+        let oldest = self.store.write(&self.chip, &self.checksum.to_le_bytes())?;
+        self.metrics.checkpoints_written += 1;
+        // Entries targeting the oldest retained tick itself are kept: a
+        // checkpoint at tick `t` is taken before tick `t`'s injections apply,
+        // so restoring it replays `target ≥ t`.
+        self.inject_log.retain(|cmd| cmd.target_tick >= oldest);
+        Ok(())
     }
 
     /// Inserts `cmd` keeping the queue sorted by `target_tick`, stable
@@ -315,9 +325,15 @@ mod tests {
         builder.build().expect("build")
     }
 
+    /// A default-config session that never checkpoints.
+    fn session() -> Session {
+        let dir = std::env::temp_dir().join("brainsim-session-unused");
+        Session::new("t".into(), relay_chip(), &ServeConfig::default(), &dir)
+    }
+
     #[test]
     fn enqueue_keeps_target_order_stably() {
-        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
+        let mut s = session();
         for (word, tick) in [(3, 9), (1, 5), (2, 5), (4, 1)] {
             s.enqueue(InjectCmd {
                 x: 0,
@@ -334,7 +350,7 @@ mod tests {
 
     #[test]
     fn drive_applies_due_commands_and_drops_stale_ones() {
-        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
+        let mut s = session();
         // Due at tick 1 → relay fires, output port 7 at tick 1.
         s.enqueue(InjectCmd {
             x: 0,
@@ -388,7 +404,7 @@ mod tests {
 
     #[test]
     fn cost_budget_marks_over_budget_ticks() {
-        let mut s = Session::new("t".into(), relay_chip(), BackoffLadder::default());
+        let mut s = session();
         s.enqueue(InjectCmd {
             x: 0,
             y: 0,

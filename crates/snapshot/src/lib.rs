@@ -36,7 +36,10 @@
 //!
 //! The chip-level assembly — `Chip::checkpoint()` / `Chip::restore()` and
 //! the `Snapshot` type — lives in `brainsim-chip`, which composes these
-//! layers with its own configuration section.
+//! layers with its own configuration section. So does `CheckpointStore`,
+//! the one writer and restore path over a checkpoint directory: it picks
+//! full or delta, writes through [`CheckpointPolicy::save_with_retry`] and
+//! restores through [`CheckpointPolicy::load_newest_verifying`].
 //!
 //! ## Crash-injection hook
 //!

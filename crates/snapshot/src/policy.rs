@@ -414,6 +414,29 @@ impl CheckpointPolicy {
         Ok(scan(dir)?.0)
     }
 
+    /// Removes every checkpoint and base in `dir` and leaves its other
+    /// files alone: how a writer starts a new history in a directory that an
+    /// earlier run may have used. Without it, that run's newer checkpoints
+    /// would outrank the new ones, and pruning would delete the new ones
+    /// first. A missing directory is already clear.
+    ///
+    /// # Errors
+    ///
+    /// The error of listing `dir`, or the first error of removing a file;
+    /// the rest are still tried.
+    pub fn clear(dir: &Path) -> io::Result<()> {
+        let (checkpoints, bases) = scan(dir)?;
+        let mut result = Ok(());
+        for (_, path) in checkpoints.iter().chain(&bases) {
+            if let Err(e) = std::fs::remove_file(path) {
+                if e.kind() != io::ErrorKind::NotFound && result.is_ok() {
+                    result = Err(e);
+                }
+            }
+        }
+        result
+    }
+
     /// Atomically writes the checkpoint for `tick`, then prunes the window
     /// to the newest `keep` checkpoints. Returns the oldest tick still on
     /// disk as a checkpoint: the floor of every later restore.
@@ -618,6 +641,26 @@ mod tests {
         }
         assert_eq!(ticks(&dir), vec![30, 40]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_removes_checkpoints_and_bases_only() {
+        let dir = tmpdir("clear");
+        let p = CheckpointPolicy::new(10, 1);
+        let base = payload(10);
+        p.save(&dir, 10, &base).expect("save base");
+        p.save(&dir, 20, &delta(20, BaseRef::of(10, &base)))
+            .expect("save delta");
+        assert!(CheckpointPolicy::base_path_for(&dir, 10).exists());
+        let other = dir.join("notes.txt");
+        std::fs::write(&other, b"keep me").expect("write other file");
+
+        CheckpointPolicy::clear(&dir).expect("clear");
+        assert!(ticks(&dir).is_empty());
+        assert!(!CheckpointPolicy::base_path_for(&dir, 10).exists());
+        assert!(other.exists(), "a file that is no checkpoint stays");
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointPolicy::clear(&dir).expect("a missing directory is clear");
     }
 
     #[test]
