@@ -5,7 +5,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Runs `work` once per item and returns each item's result in item order.
 ///
 /// A single item (or none) runs inline on the calling thread; two or more
-/// run on scoped threads, one per item, all joined before this returns. A
+/// run on scoped threads, one per item, all joined before this returns.
+/// Items are drawn from `items` on the calling thread, and each item after
+/// the second is drawn only once the one before it has been spawned, so
+/// work that produces the items overlaps the items already running. A
 /// panic is caught per item and comes back as that item's `Err` payload,
 /// so a failing item neither hangs the call nor loses its siblings'
 /// results.
@@ -90,6 +93,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn later_items_are_drawn_while_earlier_ones_run() {
+        // The third item waits for the first item's work to start: a call
+        // that drew every item before spawning any would time out here.
+        let (started, seen) = std::sync::mpsc::channel();
+        let items = (0..3).inspect(|&i| {
+            if i == 2 {
+                seen.recv_timeout(std::time::Duration::from_secs(10))
+                    .expect("item 0 runs before item 2 is drawn");
+            }
+        });
+        let results = run_shards(items, |i| {
+            if i == 0 {
+                started.send(()).expect("the caller is waiting");
+            }
+            i
+        });
+        assert_eq!(results.len(), 3);
     }
 
     #[test]

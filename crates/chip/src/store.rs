@@ -16,10 +16,11 @@ use std::io;
 use std::path::PathBuf;
 
 use brainsim_snapshot::{
-    BaseRef, CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint,
+    BaseRef, CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint, WriteClaim,
 };
 
 use crate::chip::Chip;
+use crate::shards::run_shards;
 use crate::snapshot::Snapshot;
 
 /// One chip's checkpoint directory: cadence and retention from a
@@ -82,6 +83,26 @@ impl std::fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
+/// The most checkpoint writes [`CheckpointStore::write_all`] commits side
+/// by side. The writes wait on the device's flushes rather than the CPU,
+/// and a filesystem batches the flushes that wait at the same time, so this
+/// does not follow a worker count. Eight gives each tenant of an
+/// eight-tenant round its own thread, so a slow write delays no sibling;
+/// past four the gain is small (EXPERIMENTS.md, *Where a checkpoint round's
+/// disk time goes*).
+const FAN_OUT: usize = 8;
+
+/// One checkpoint encoded for a [`CheckpointStore::write_all`] batch.
+#[derive(Debug)]
+struct Encoded {
+    tick: u64,
+    bytes: Vec<u8>,
+    /// The chip's structure generation when this is a full checkpoint,
+    /// which becomes the base once it commits; `None` for a delta.
+    base_generation: Option<u64>,
+    claim: WriteClaim,
+}
+
 impl CheckpointStore {
     /// A store over `dir`. Opening touches no file: checkpoints already
     /// there are what [`CheckpointStore::restore`] resumes from, and
@@ -122,12 +143,95 @@ impl CheckpointStore {
     /// Returns the oldest tick still on disk as a checkpoint, the floor of
     /// every later restore (see [`CheckpointPolicy::save`]).
     ///
+    /// This is [`CheckpointStore::write_all`] with one item, which runs on
+    /// the calling thread.
+    ///
     /// # Errors
     ///
     /// [`SaveError`] once the retry budget is spent; the store is then as
     /// it was before the call.
     pub fn write(&mut self, chip: &Chip, app: &[u8]) -> Result<u64, SaveError> {
-        let tick = chip.now();
+        let mut written = CheckpointStore::write_all([(self, chip, app)]);
+        written.pop().expect("one result per item")
+    }
+
+    /// [`CheckpointStore::write`] for a batch of stores, each writing its
+    /// own chip: one disk wait for all of them instead of one per store.
+    ///
+    /// Each checkpoint is encoded on the calling thread, in batch order,
+    /// under the full-or-delta rule of [`CheckpointStore::write`]. The
+    /// encoded images commit side by side through [`run_shards`], in
+    /// contiguous runs over at most eight threads (one item runs inline),
+    /// and each run starts as soon as it is encoded, while the caller
+    /// encodes the next. Each commit is the whole save of
+    /// [`CheckpointPolicy::save_with_retry`]: temp file, file `fsync`,
+    /// rename, directory `fsync`, prune. The batch returns once every item
+    /// has committed or failed, with each item's result in batch order;
+    /// every base is recorded only after its own rename committed.
+    ///
+    /// The test hooks of every write ([`WriteClaim`]) are claimed on the
+    /// calling thread in batch order, so injected failures and hold
+    /// ordinals land on the items as if they had been written one at a
+    /// time.
+    pub fn write_all<'a, A: AsRef<[u8]>>(
+        batch: impl IntoIterator<Item = (&'a mut CheckpointStore, &'a Chip, A)>,
+    ) -> Vec<Result<u64, SaveError>> {
+        let mut batch: Vec<_> = batch.into_iter().collect();
+        CheckpointStore::write_batch(
+            batch
+                .iter_mut()
+                .map(|(store, chip, app)| (&mut **store, *chip, A::as_ref(app)))
+                .collect(),
+        )
+    }
+
+    /// [`CheckpointStore::write_all`] past its generic argument, so that
+    /// each caller does not compile its own copy.
+    fn write_batch(
+        batch: Vec<(&mut CheckpointStore, &Chip, &[u8])>,
+    ) -> Vec<Result<u64, SaveError>> {
+        // `run_shards` draws each run as it spawns the one before, so the
+        // encoding of later runs overlaps the commits of earlier ones.
+        let per_lane = batch.len().div_ceil(FAN_OUT);
+        let mut images = batch
+            .iter()
+            .map(|(store, chip, app)| (&**store, store.encode(chip, app)));
+        let lanes = std::iter::from_fn(|| {
+            let lane: Vec<_> = images.by_ref().take(per_lane).collect();
+            (!lane.is_empty()).then_some(lane)
+        });
+        let mut committed = Vec::with_capacity(batch.len());
+        for lane in run_shards(lanes, |lane| {
+            lane.into_iter()
+                .map(|(store, image)| {
+                    let saved = store.commit(&image);
+                    (image, saved)
+                })
+                .collect::<Vec<_>>()
+        }) {
+            match lane {
+                Ok(done) => committed.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+
+        batch
+            .into_iter()
+            .zip(committed)
+            .map(|((store, _, _), (image, saved))| {
+                let oldest = saved?;
+                if let Some(generation) = image.base_generation {
+                    store.base = Some((BaseRef::of(image.tick, &image.bytes), generation));
+                }
+                store.latest = image.tick;
+                Ok(oldest)
+            })
+            .collect()
+    }
+
+    /// Encodes `chip`'s checkpoint under the full-or-delta rule and claims
+    /// its write's test hooks.
+    fn encode(&self, chip: &Chip, app: &[u8]) -> Encoded {
         let generation = chip.structure_generation();
         let base = self
             .base
@@ -145,14 +249,21 @@ impl CheckpointStore {
                 snapshot.to_bytes()
             }
         };
-        let oldest = self
-            .policy
-            .save_with_retry(&self.dir, tick, &bytes, &self.retry)?;
-        if base.is_none() {
-            self.base = Some((BaseRef::of(tick, &bytes), generation));
+        Encoded {
+            tick: chip.now(),
+            bytes,
+            base_generation: base.is_none().then_some(generation),
+            claim: WriteClaim::claim(self.retry.attempts()),
         }
-        self.latest = tick;
-        Ok(oldest)
+    }
+
+    /// Saves an encoded checkpoint into the directory under the store's
+    /// policies, with its claimed hooks armed.
+    fn commit(&self, image: &Encoded) -> Result<u64, SaveError> {
+        image.claim.run(|| {
+            self.policy
+                .save_with_retry(&self.dir, image.tick, &image.bytes, &self.retry)
+        })
     }
 
     /// Restores the newest checkpoint in the directory that verifies and
@@ -278,6 +389,52 @@ mod tests {
         s.write(&chip, &[]).expect("write");
         assert!(!is_delta(&dir, 2), "the base never landed: full again");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_fails_and_records_bases_item_by_item() {
+        let dirs: Vec<PathBuf> = (0..3).map(|i| tmpdir(&format!("batch-{i}"))).collect();
+        let mut chips: Vec<Chip> = (0..3)
+            .map(|_| relay_builder(4, 1).build().expect("builds"))
+            .collect();
+        let mut stores: Vec<CheckpointStore> = dirs.iter().map(|d| store(d)).collect();
+
+        // One injected failure lands on the first item: it fails alone, and
+        // only the two that committed record a base.
+        brainsim_snapshot::inject_write_failures(1);
+        let written =
+            CheckpointStore::write_all(stores.iter_mut().zip(&chips).map(|(s, c)| (s, c, b"x")));
+        assert!(written[0].is_err());
+        assert_eq!(
+            written[1..]
+                .iter()
+                .map(|r| *r.as_ref().expect("committed"))
+                .collect::<Vec<_>>(),
+            [0, 0]
+        );
+        assert_eq!(
+            stores
+                .iter()
+                .map(CheckpointStore::latest)
+                .collect::<Vec<_>>(),
+            [0, 0, 0]
+        );
+
+        for chip in &mut chips {
+            advance(chip, 2);
+        }
+        let written =
+            CheckpointStore::write_all(stores.iter_mut().zip(&chips).map(|(s, c)| (s, c, b"x")));
+        assert!(written.iter().all(Result::is_ok));
+        let deltas: Vec<bool> = dirs.iter().map(|d| is_delta(d, 2)).collect();
+        assert_eq!(
+            deltas,
+            [false, true, true],
+            "the failed base is never named"
+        );
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

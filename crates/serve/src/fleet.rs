@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use brainsim_chip::{run_shards, Chip, FailedAttempt, Restored, TelemetryConfig};
+use brainsim_chip::{run_shards, CheckpointStore, Chip, FailedAttempt, Restored, TelemetryConfig};
 use brainsim_telemetry::RunSummary;
 
 use crate::config::ServeConfig;
@@ -521,8 +521,10 @@ impl Fleet {
         }
         outcomes.sort_by_key(|(slot, _)| *slot);
 
-        // Phase 4 — apply outcomes in slot order.
+        // Phase 4 — apply outcomes in slot order, then write the due
+        // checkpoints as one batch.
         let every = self.config.checkpoint_every.max(1);
+        let mut due = Vec::new();
         let mut driven = 0usize;
         let mut ticks_total = 0u64;
         let mut panics = 0usize;
@@ -545,8 +547,11 @@ impl Fleet {
                 continue;
             }
             self.apply_deadline(slot, &outcome);
-            self.checkpoint_after(slot, every);
+            if self.checkpoint_due(slot, every) {
+                due.push((slot, self.events.len()));
+            }
         }
+        self.checkpoint(&due);
 
         // Phase 5 — recompute backlog; shed-load hysteresis.
         self.queued_total = self
@@ -626,25 +631,49 @@ impl Fleet {
         self.events.push(event);
     }
 
-    /// Checkpoints the live session in `slot` once `gap` ticks have passed
-    /// since its last checkpoint: the cadence checkpoint of every round and
-    /// the final one at shutdown. A failed write is metered and journaled,
-    /// not fatal: the session runs on and a later call tries again.
-    fn checkpoint_after(&mut self, slot: usize, gap: u64) {
-        let Some(session) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        if !session.live() || session.chip.now().saturating_sub(session.store.latest()) < gap {
+    /// Whether the session in `slot` is live and `gap` ticks past its last
+    /// checkpoint: due for the cadence checkpoint of a round, or for the
+    /// final one at shutdown.
+    fn checkpoint_due(&self, slot: usize, gap: u64) -> bool {
+        self.sessions[slot].as_ref().is_some_and(|session| {
+            session.live() && session.chip.now().saturating_sub(session.store.latest()) >= gap
+        })
+    }
+
+    /// Checkpoints the sessions in `due` as one batch through
+    /// [`CheckpointStore::write_all`]. Each entry pairs a slot, in slot
+    /// order, with the journal length when its turn came: a failed write is
+    /// metered and journaled there, after the slot's own events and before
+    /// the next slot's, as if the writes had run one per slot. A failure is
+    /// not fatal: the session runs on and a later checkpoint tries again.
+    fn checkpoint(&mut self, due: &[(usize, usize)]) {
+        if due.is_empty() {
             return;
         }
-        if let Err(e) = session.checkpoint() {
-            session.metrics.checkpoint_failures += 1;
-            self.events.push(FleetEvent::CheckpointFailed {
-                round: self.round,
-                tenant: session.tenant.clone(),
-                tick: session.chip.now(),
-                error: e.to_string(),
-            });
+        let mut wanted = due.iter().map(|&(slot, _)| slot).peekable();
+        let mut batch: Vec<&mut Session> = Vec::with_capacity(due.len());
+        for (slot, entry) in self.sessions.iter_mut().enumerate() {
+            if wanted.next_if_eq(&slot).is_some() {
+                batch.extend(entry.as_mut());
+            }
+        }
+        let written = CheckpointStore::write_all(batch.iter_mut().map(|s| s.checkpoint_write()));
+        let mut failed = Vec::new();
+        for ((session, result), &(_, at)) in batch.into_iter().zip(written).zip(due) {
+            if let Err(e) = session.checkpointed(result) {
+                session.metrics.checkpoint_failures += 1;
+                let event = FleetEvent::CheckpointFailed {
+                    round: self.round,
+                    tenant: session.tenant.clone(),
+                    tick: session.chip.now(),
+                    error: e.to_string(),
+                };
+                failed.push((at, event));
+            }
+        }
+        // The latest position first, so the earlier ones still hold.
+        for (at, event) in failed.into_iter().rev() {
+            self.events.insert(at, event);
         }
     }
 
@@ -787,9 +816,12 @@ impl Fleet {
     /// everything, returning the reports in admission order.
     pub fn shutdown(mut self) -> Vec<TenantReport> {
         self.shutting_down = true;
-        for slot in 0..self.sessions.len() {
-            self.checkpoint_after(slot, 1);
-        }
+        let at = self.events.len();
+        let due: Vec<(usize, usize)> = (0..self.sessions.len())
+            .filter(|&slot| self.checkpoint_due(slot, 1))
+            .map(|slot| (slot, at))
+            .collect();
+        self.checkpoint(&due);
         let tenants = self.tenants();
         tenants
             .iter()

@@ -18,7 +18,9 @@
 //!   directory instead. Later
 //!   cadence checkpoints are deltas — the state ticking changed — against
 //!   the newest full checkpoint; a session writes a full one again only
-//!   after a restore or a fault plan.
+//!   after a restore or a fault plan. A round's due checkpoints, and the
+//!   final ones at shutdown, commit side by side as one batch, with their
+//!   results applied in slot order.
 //! * **Lifecycle** — a session's state is one [`SessionState`]: the
 //!   `Running` or `Degraded` lane, `Quarantined`, `Recovering` or
 //!   `Failed`. Every move between states resets the deadline streaks.

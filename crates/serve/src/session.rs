@@ -218,11 +218,28 @@ impl Session {
         self.clean_streak = 0;
     }
 
-    /// Writes a checkpoint carrying the running checksum in the application
-    /// section, then prunes the inject log to the oldest retained
-    /// checkpoint: entries older than every restore floor can never replay.
+    /// Writes a checkpoint on its own; see [`Session::checkpointed`].
     pub(crate) fn checkpoint(&mut self) -> Result<(), SaveError> {
-        let oldest = self.store.write(&self.chip, &self.checksum.to_le_bytes())?;
+        let (store, chip, app) = self.checkpoint_write();
+        let written = store.write(chip, &app);
+        self.checkpointed(written)
+    }
+
+    /// What a checkpoint of this session writes, as one item of a
+    /// [`CheckpointStore::write_all`] batch: the session's store, its chip,
+    /// and the running checksum as the application section.
+    pub(crate) fn checkpoint_write(&mut self) -> (&mut CheckpointStore, &Chip, [u8; 8]) {
+        (&mut self.store, &self.chip, self.checksum.to_le_bytes())
+    }
+
+    /// Books the outcome of a checkpoint write. A written one is counted,
+    /// and the inject log is pruned to the oldest retained checkpoint:
+    /// entries older than every restore floor can never replay.
+    pub(crate) fn checkpointed(
+        &mut self,
+        written: Result<u64, SaveError>,
+    ) -> Result<(), SaveError> {
+        let oldest = written?;
         self.metrics.checkpoints_written += 1;
         // Entries targeting the oldest retained tick itself are kept: a
         // checkpoint at tick `t` is taken before tick `t`'s injections apply,

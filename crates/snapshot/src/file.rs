@@ -6,10 +6,12 @@
 //! file beside an intact previous snapshot (the restore path ignores
 //! temporaries).
 
+use std::cell::Cell;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 use crate::container::{verify, RestoreError};
 
@@ -46,25 +48,35 @@ impl From<RestoreError> for SnapshotIoError {
     }
 }
 
-/// Atomic writes completed by this process (drives the crash hook).
+/// Atomic writes of this process that reached (or claimed) their rename:
+/// the ordinals of the hold hook.
 static WRITES: AtomicU64 = AtomicU64::new(0);
+
+/// The hold hook, read once from the environment: the ordinal of the write
+/// to park and for how long.
+fn hold_hook() -> Option<(u64, Duration)> {
+    static HOLD: OnceLock<Option<(u64, Duration)>> = OnceLock::new();
+    *HOLD.get_or_init(|| {
+        let read = |name| std::env::var(name).ok()?.parse::<u64>().ok();
+        let nth = read("BRAINSIM_SNAPSHOT_HOLD_WRITE")?;
+        let ms = read("BRAINSIM_SNAPSHOT_HOLD_MS").unwrap_or(30_000);
+        Some((nth, Duration::from_millis(ms)))
+    })
+}
 
 /// Crash-injection hook for the CI kill tests: when
 /// `BRAINSIM_SNAPSHOT_HOLD_WRITE=n` is set, the `n`-th atomic write of the
 /// process (1-based) sleeps `BRAINSIM_SNAPSHOT_HOLD_MS` milliseconds
 /// (default 30000) *after* the temp file is written and fsynced but
 /// *before* the rename — the widest possible mid-write window. A SIGKILL
-/// landing in that window leaves the previous snapshot untouched.
+/// landing in that window leaves the previous snapshot untouched. A write
+/// run under a [`WriteClaim`] has the ordinal it claimed, so writes that
+/// commit side by side are numbered in the order they were claimed.
 fn hold_if_hooked(nth: u64) {
-    let hold = std::env::var("BRAINSIM_SNAPSHOT_HOLD_WRITE")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    if hold == Some(nth) {
-        let ms = std::env::var("BRAINSIM_SNAPSHOT_HOLD_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(30_000);
-        std::thread::sleep(std::time::Duration::from_millis(ms));
+    if let Some((hold, pause)) = hold_hook() {
+        if hold == nth {
+            std::thread::sleep(pause);
+        }
     }
 }
 
@@ -75,7 +87,11 @@ static FAIL_BUDGET: OnceLock<AtomicU64> = OnceLock::new();
 thread_local! {
     /// Remaining injected failures armed by [`inject_write_failures`] on
     /// this thread — thread-local so parallel unit tests stay hermetic.
-    static LOCAL_FAIL_BUDGET: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static LOCAL_FAIL_BUDGET: Cell<u64> = const { Cell::new(0) };
+    /// The claim a [`WriteClaim::run`] armed on this thread, if any: while
+    /// it is armed, its failures and ordinal are the only hooks a write
+    /// sees.
+    static ARMED: Cell<Option<WriteClaim>> = const { Cell::new(None) };
 }
 
 fn fail_budget() -> &'static AtomicU64 {
@@ -89,6 +105,15 @@ fn fail_budget() -> &'static AtomicU64 {
     })
 }
 
+/// Takes up to `n` from `budget` and returns how many it took.
+fn take_up_to(budget: &AtomicU64, n: u64) -> u64 {
+    budget
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            Some(cur - cur.min(n))
+        })
+        .map_or(0, |before| before.min(n))
+}
+
 /// Arms the transient-failure injector for the calling thread: its next
 /// `n` atomic snapshot writes fail with a synthetic [`io::Error`] before
 /// touching the filesystem, then writes succeed again. The environment
@@ -99,30 +124,93 @@ pub fn inject_write_failures(n: u64) {
     LOCAL_FAIL_BUDGET.with(|b| b.set(n));
 }
 
-fn fail_if_armed() -> io::Result<()> {
-    let local_hit = LOCAL_FAIL_BUDGET.with(|b| {
-        let n = b.get();
-        if n > 0 {
-            b.set(n - 1);
-        }
-        n > 0
-    });
-    if !local_hit {
-        let budget = fail_budget();
-        let mut cur = budget.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return Ok(());
-            }
-            match budget.compare_exchange_weak(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+/// The test hooks one retried checkpoint write will meet, claimed on the
+/// calling thread before the write runs, perhaps on another thread.
+///
+/// Writes that commit side by side reach the disk in no fixed order, so
+/// the hooks cannot be handed out as each write reaches them. A caller
+/// claims them instead, one write after another in its own order, and
+/// each write runs under its claim ([`WriteClaim::run`]). Injected
+/// failures ([`inject_write_failures`], `BRAINSIM_SNAPSHOT_FAIL_WRITES`)
+/// and hold ordinals (`BRAINSIM_SNAPSHOT_HOLD_WRITE`) then land on writes
+/// in claim order, as if the writes had run one at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteClaim {
+    /// Injected failures this write's attempts meet first.
+    failures: u64,
+    /// The hold ordinal of the attempt that reaches the rename; `None`
+    /// when every attempt is claimed to fail.
+    ordinal: Option<u64>,
+}
+
+impl WriteClaim {
+    /// Claims the hooks of one write of up to `attempts` attempts: up to
+    /// `attempts` injected failures, taken from this thread's budget and
+    /// then the process's, and, when fewer than that, so that an attempt
+    /// reaches the rename, the next hold ordinal.
+    pub fn claim(attempts: u32) -> WriteClaim {
+        let cap = u64::from(attempts.max(1));
+        let local = LOCAL_FAIL_BUDGET.with(|b| {
+            let take = b.get().min(cap);
+            b.set(b.get() - take);
+            take
+        });
+        let failures = local + take_up_to(fail_budget(), cap - local);
+        let ordinal = (failures < cap).then(|| WRITES.fetch_add(1, Ordering::Relaxed) + 1);
+        WriteClaim { failures, ordinal }
     }
-    Err(io::Error::other(
-        "injected snapshot write failure (BRAINSIM_SNAPSHOT_FAIL_WRITES)",
-    ))
+
+    /// Runs `write` with this claim armed on the calling thread. Its
+    /// atomic writes meet the claimed failures and hold ordinal and no
+    /// other hook: neither failure budget is consulted meanwhile. The
+    /// thread's own hooks are back as they were when `write` returns.
+    pub fn run<R>(self, write: impl FnOnce() -> R) -> R {
+        /// Disarms the claim even if `write` panics.
+        struct Disarm(Option<WriteClaim>);
+        impl Drop for Disarm {
+            fn drop(&mut self) {
+                ARMED.with(|a| a.set(self.0));
+            }
+        }
+        let _disarm = Disarm(ARMED.with(|a| a.replace(Some(self))));
+        write()
+    }
+}
+
+fn fail_if_armed() -> io::Result<()> {
+    let hit = match ARMED.with(Cell::get) {
+        Some(mut claim) => {
+            let hit = claim.failures > 0;
+            claim.failures = claim.failures.saturating_sub(1);
+            ARMED.with(|a| a.set(Some(claim)));
+            hit
+        }
+        None => {
+            LOCAL_FAIL_BUDGET.with(|b| {
+                let n = b.get();
+                b.set(n.saturating_sub(1));
+                n > 0
+            }) || take_up_to(fail_budget(), 1) == 1
+        }
+    };
+    if hit {
+        return Err(io::Error::other(
+            "injected snapshot write failure (BRAINSIM_SNAPSHOT_FAIL_WRITES)",
+        ));
+    }
+    Ok(())
+}
+
+/// The hold ordinal of an atomic write about to rename: the armed claim's,
+/// once, or else the next in the process.
+fn next_ordinal() -> u64 {
+    let claimed = ARMED.with(|a| {
+        let mut claim = a.get()?;
+        let ordinal = claim.ordinal.take();
+        a.set(Some(claim));
+        ordinal
+    });
+    claimed.unwrap_or_else(|| WRITES.fetch_add(1, Ordering::Relaxed) + 1)
 }
 
 /// Writes `bytes` to `path` crash-consistently: the content goes to
@@ -156,8 +244,7 @@ fn write_and_rename(mut f: std::fs::File, tmp: &Path, path: &Path, bytes: &[u8])
     io::Write::write_all(&mut f, bytes)?;
     f.sync_all()?;
     drop(f);
-    let nth = WRITES.fetch_add(1, Ordering::Relaxed) + 1;
-    hold_if_hooked(nth);
+    hold_if_hooked(next_ordinal());
     std::fs::rename(tmp, path)
 }
 
@@ -239,6 +326,39 @@ mod tests {
             load_verified(&path),
             Err(SnapshotIoError::Restore(RestoreError::SectionCrc { .. }))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn claims_take_failures_in_order_up_to_the_attempts() {
+        inject_write_failures(4);
+        let first = WriteClaim::claim(3);
+        let second = WriteClaim::claim(3);
+        let third = WriteClaim::claim(3);
+        assert_eq!((first.failures, first.ordinal), (3, None));
+        assert_eq!(second.failures, 1);
+        assert_eq!(third.failures, 0);
+        let (Some(a), Some(b)) = (second.ordinal, third.ordinal) else {
+            panic!("writes that reach their rename hold ordinals");
+        };
+        assert!(a < b, "ordinals follow claim order");
+    }
+
+    #[test]
+    fn an_armed_claim_is_the_only_hook_its_write_meets() {
+        let dir = tmpdir("claim");
+        let path = dir.join("state.bsnp");
+        let bytes = encode_container(&[(SectionId::App, vec![9; 16])]);
+        inject_write_failures(2);
+        let claim = WriteClaim::claim(1);
+        assert_eq!(claim.failures, 1);
+        claim.run(|| {
+            assert!(save_atomic(&path, &bytes).is_err(), "the claimed failure");
+            save_atomic(&path, &bytes).expect("the thread's budget is not consulted");
+        });
+        // The thread's own budget is back: its remaining failure, then none.
+        assert!(save_atomic(&path, &bytes).is_err());
+        save_atomic(&path, &bytes).expect("budget spent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

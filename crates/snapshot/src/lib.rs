@@ -54,6 +54,11 @@
 //! ([`inject_write_failures`] is the per-thread in-process equivalent);
 //! [`CheckpointPolicy::save_with_retry`] with a [`RetryPolicy`] rides out
 //! such transients and surfaces exhaustion as a typed [`SaveError`].
+//!
+//! Both hooks are read from the environment once per process. A writer
+//! that commits several files side by side claims each write's hooks
+//! first, in its own order ([`WriteClaim`]), so failures and hold ordinals
+//! land on the same writes as if they had run one at a time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,7 +76,7 @@ pub use container::{
     MAGIC, VERSION,
 };
 pub use crc::crc32;
-pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError};
+pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError, WriteClaim};
 pub use policy::{
     BackoffLadder, Checkpoint, CheckpointPolicy, FailedAttempt, NewestVerifying, RecoveryEpisode,
     RetryPolicy, SaveError, SkippedCheckpoint,
