@@ -38,6 +38,28 @@ pub struct TickSummary {
     pub cores_evaluated: u64,
 }
 
+impl TickSummary {
+    /// The output checksum of no ticks: the 64-bit FNV-1a offset basis.
+    pub const CHECKSUM_START: u64 = 0xCBF2_9CE4_8422_2325;
+
+    /// Folds this tick's observable output into `checksum`, a running
+    /// 64-bit FNV-1a hash: the tick's little-endian bytes, then each output
+    /// port's. Folded over a run from [`TickSummary::CHECKSUM_START`], it is
+    /// the raster checksum the quickstart prints and a serving session
+    /// keeps, so the two are directly comparable.
+    pub fn fold_checksum(&self, checksum: &mut u64) {
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                *checksum = (*checksum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        fold(&self.tick.to_le_bytes());
+        for port in &self.outputs {
+            fold(&port.to_le_bytes());
+        }
+    }
+}
+
 /// Fatal error from [`Chip::try_tick`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TickError {
@@ -708,6 +730,22 @@ pub(crate) mod tests {
     /// outputs to port 99.
     fn relay_chain(n: usize, threads: usize) -> Chip {
         relay_builder(n, threads).build().unwrap()
+    }
+
+    #[test]
+    fn the_output_checksum_is_fnv1a_over_the_tick_then_each_port() {
+        let summary = TickSummary {
+            tick: 1,
+            spikes: 0,
+            outputs: vec![7, 300],
+            faults: FaultStats::default(),
+            cores_evaluated: 0,
+        };
+        let mut checksum = TickSummary::CHECKSUM_START;
+        summary.fold_checksum(&mut checksum);
+        // FNV-1a 64 of the bytes 01 00 00 00 00 00 00 00, 07 00 00 00,
+        // 2c 01 00 00.
+        assert_eq!(checksum, 0x9093_5957_0f4f_6c44);
     }
 
     pub(crate) fn relay_builder(n: usize, threads: usize) -> ChipBuilder {
@@ -1527,8 +1565,8 @@ pub(crate) mod tests {
         chip.run(2);
         let mut store = crate::CheckpointStore::open(
             &dir,
-            brainsim_snapshot::CheckpointPolicy::default(),
-            brainsim_snapshot::RetryPolicy::default(),
+            3,
+            brainsim_snapshot::BackoffLadder::CHECKPOINT_WRITES,
         );
         store.write(&chip, &[]).expect("write");
         let mut resumed = store.restore(0).0.expect("restore").chip;

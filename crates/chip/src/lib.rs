@@ -79,5 +79,5 @@ pub use brainsim_telemetry::{TelemetryConfig, TelemetryLog, TickRecord};
 // crate.
 pub use brainsim_snapshot::{
     BackoffLadder, BaseRef, CheckpointPolicy, FailedAttempt, RecoveryEpisode, RestoreError,
-    RetryPolicy, SaveError, SkippedCheckpoint, SnapshotIoError,
+    SaveError, SkippedCheckpoint, SnapshotIoError,
 };

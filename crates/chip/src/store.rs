@@ -16,16 +16,17 @@ use std::io;
 use std::path::PathBuf;
 
 use brainsim_snapshot::{
-    BaseRef, CheckpointPolicy, RestoreError, RetryPolicy, SaveError, SkippedCheckpoint, WriteClaim,
+    BackoffLadder, BaseRef, CheckpointPolicy, RestoreError, SaveError, SkippedCheckpoint,
+    WriteClaim,
 };
 
 use crate::chip::Chip;
 use crate::shards::run_shards;
 use crate::snapshot::Snapshot;
 
-/// One chip's checkpoint directory: cadence and retention from a
-/// [`CheckpointPolicy`], writes retried under a [`RetryPolicy`], and the
-/// base that deltas are taken against.
+/// One chip's checkpoint directory: the newest `keep` checkpoints, writes
+/// retried up a [`BackoffLadder`] counted in milliseconds, and the base
+/// that deltas are taken against. When to write is the caller's cadence.
 ///
 /// The serving fleet keeps one per tenant, the self-healing runner one for
 /// its pre-migration checkpoints, and the quickstart one for its run.
@@ -33,7 +34,7 @@ use crate::snapshot::Snapshot;
 pub struct CheckpointStore {
     dir: PathBuf,
     policy: CheckpointPolicy,
-    retry: RetryPolicy,
+    retry: BackoffLadder,
     /// The newest full checkpoint written, and the structure generation of
     /// the chip it captured.
     base: Option<(BaseRef, u64)>,
@@ -104,13 +105,15 @@ struct Encoded {
 }
 
 impl CheckpointStore {
-    /// A store over `dir`. Opening touches no file: checkpoints already
-    /// there are what [`CheckpointStore::restore`] resumes from, and
+    /// A store over `dir` that keeps the newest `keep` checkpoints (min 1)
+    /// and retries each write up `retry`, in milliseconds. Opening touches
+    /// no file: checkpoints already there are what
+    /// [`CheckpointStore::restore`] resumes from, and
     /// [`CheckpointStore::clear`] starts a new history instead.
-    pub fn open(dir: impl Into<PathBuf>, policy: CheckpointPolicy, retry: RetryPolicy) -> Self {
+    pub fn open(dir: impl Into<PathBuf>, keep: usize, retry: BackoffLadder) -> Self {
         CheckpointStore {
             dir: dir.into(),
-            policy,
+            policy: CheckpointPolicy::new(keep),
             retry,
             base: None,
             latest: 0,
@@ -136,12 +139,12 @@ impl CheckpointStore {
     }
 
     /// Checkpoints `chip` with `app` as its application payload, retrying
-    /// under the store's [`RetryPolicy`]. The checkpoint is a delta against
+    /// up the store's ladder. The checkpoint is a delta against
     /// the base when the chip's structure generation is the base's, and
     /// otherwise full. A full checkpoint becomes the base once its rename
     /// has committed, so no delta can name a base that is not on disk.
     /// Returns the oldest tick still on disk as a checkpoint, the floor of
-    /// every later restore (see [`CheckpointPolicy::save`]).
+    /// every later restore (see [`CheckpointPolicy::save_with_retry`]).
     ///
     /// This is [`CheckpointStore::write_all`] with one item, which runs on
     /// the calling thread.
@@ -170,9 +173,9 @@ impl CheckpointStore {
     /// every base is recorded only after its own rename committed.
     ///
     /// The test hooks of every write ([`WriteClaim`]) are claimed on the
-    /// calling thread in batch order, so injected failures and hold
-    /// ordinals land on the items as if they had been written one at a
-    /// time.
+    /// calling thread in batch order and travel with the item to its
+    /// write, so injected failures and hold ordinals land on the items as
+    /// if they had been written one at a time.
     pub fn write_all<'a, A: AsRef<[u8]>>(
         batch: impl IntoIterator<Item = (&'a mut CheckpointStore, &'a Chip, A)>,
     ) -> Vec<Result<u64, SaveError>> {
@@ -253,17 +256,20 @@ impl CheckpointStore {
             tick: chip.now(),
             bytes,
             base_generation: base.is_none().then_some(generation),
-            claim: WriteClaim::claim(self.retry.attempts()),
+            claim: WriteClaim::claim(self.retry.max_attempts()),
         }
     }
 
     /// Saves an encoded checkpoint into the directory under the store's
-    /// policies, with its claimed hooks armed.
+    /// retention and ladder, meeting the hooks it claimed.
     fn commit(&self, image: &Encoded) -> Result<u64, SaveError> {
-        image.claim.run(|| {
-            self.policy
-                .save_with_retry(&self.dir, image.tick, &image.bytes, &self.retry)
-        })
+        self.policy.save_with_retry(
+            &self.dir,
+            image.tick,
+            &image.bytes,
+            &self.retry,
+            image.claim,
+        )
     }
 
     /// Restores the newest checkpoint in the directory that verifies and
@@ -308,8 +314,8 @@ mod tests {
     use crate::chip::tests::relay_builder;
     use crate::snapshot::SnapshotDelta;
     use brainsim_faults::FaultPlan;
+    use brainsim_snapshot::save_atomic;
     use std::path::Path;
-    use std::time::Duration;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("brainsim-store-{tag}-{}", std::process::id()));
@@ -318,8 +324,7 @@ mod tests {
     }
 
     fn store(dir: &Path) -> CheckpointStore {
-        let once = RetryPolicy::new(1, Duration::ZERO, Duration::ZERO);
-        CheckpointStore::open(dir, CheckpointPolicy::new(1, 8), once)
+        CheckpointStore::open(dir, 8, BackoffLadder::new(1, 1, 1))
     }
 
     fn is_delta(dir: &Path, tick: u64) -> bool {
@@ -388,6 +393,22 @@ mod tests {
         advance(&mut chip, 2);
         s.write(&chip, &[]).expect("write");
         assert!(!is_delta(&dir, 2), "the base never landed: full again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_atomic_meets_no_hook() {
+        let dir = tmpdir("no-hook");
+        let chip = relay_builder(4, 1).build().expect("builds");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        brainsim_snapshot::inject_write_failures(1);
+        save_atomic(&dir.join("outside.bsnp"), b"bytes").expect("no hook reaches save_atomic");
+        let mut s = store(&dir);
+        assert!(
+            s.write(&chip, &[]).is_err(),
+            "the armed failure is still there"
+        );
+        s.write(&chip, &[]).expect("and spent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -467,13 +488,10 @@ mod tests {
         // Newer files from outside: noise is skipped like damage, but an
         // image that verifies and decodes yet describes no valid chip (its
         // cores' clocks disagree with the chip's) ends the walk, typed.
-        let policy = CheckpointPolicy::new(1, 8);
-        policy.save(&dir, 8, b"noise").expect("save noise");
+        save_atomic(&CheckpointPolicy::path_for(&dir, 8), b"noise").expect("save noise");
         let mut skewed = chip.checkpoint();
         skewed.now += 1;
-        policy
-            .save(&dir, 7, &skewed.to_bytes())
-            .expect("save skewed");
+        save_atomic(&CheckpointPolicy::path_for(&dir, 7), &skewed.to_bytes()).expect("save skewed");
         let (restored, skipped) = s.restore(0);
         assert!(matches!(
             restored,

@@ -3,7 +3,8 @@
 use crate::chip::Chip;
 
 /// Per-core cumulative spike counts, row-major over the grid — the
-/// utilisation map of the F7-style reports.
+/// utilisation map of the F7-style reports, drawn by
+/// [`brainsim_telemetry::render_heatmap`].
 pub fn activity_map(chip: &Chip) -> Vec<Vec<u64>> {
     let config = chip.config();
     (0..config.height)
@@ -13,25 +14,6 @@ pub fn activity_map(chip: &Chip) -> Vec<Vec<u64>> {
                 .collect()
         })
         .collect()
-}
-
-/// Renders an activity map as compact ASCII (log-scale digits, `.` = 0).
-pub fn render_activity(map: &[Vec<u64>]) -> String {
-    let mut out = String::new();
-    for row in map {
-        for &count in row {
-            let ch = match count {
-                0 => '.',
-                1..=9 => char::from_digit(count as u32, 10).unwrap_or('?'),
-                10..=99 => 'x',
-                _ => 'X',
-            };
-            out.push(ch);
-            out.push(' ');
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// A directed link between two adjacent cores, as `(from, to)` grid
@@ -155,16 +137,7 @@ mod tests {
         for _ in 0..4 {
             chip.tick();
         }
-        let map = activity_map(&chip);
-        assert_eq!(map, vec![vec![2, 1]]);
-        let ascii = render_activity(&map);
-        assert!(ascii.contains('2') && ascii.contains('1'));
-    }
-
-    #[test]
-    fn render_uses_log_buckets() {
-        let ascii = render_activity(&[vec![0, 5, 42, 1000]]);
-        assert_eq!(ascii.trim(), ". 5 x X");
+        assert_eq!(activity_map(&chip), vec![vec![2, 1]]);
     }
 
     #[test]

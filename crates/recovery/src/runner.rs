@@ -6,9 +6,7 @@ use brainsim_chip::{CheckpointStore, Chip};
 use brainsim_compiler::{compile, repair, CompileError, CompileOptions, CompiledNetwork, CoreMove};
 use brainsim_corelet::LogicalNetwork;
 use brainsim_faults::FaultPlan;
-use brainsim_snapshot::{
-    BackoffLadder, CheckpointPolicy, FailedAttempt, RecoveryEpisode, RetryPolicy,
-};
+use brainsim_snapshot::{BackoffLadder, FailedAttempt, RecoveryEpisode};
 use brainsim_telemetry::TelemetryConfig;
 
 use crate::error::RecoveryError;
@@ -16,7 +14,7 @@ use crate::migrate::hot_migrate;
 use crate::monitor::{DetectorConfig, HealthMonitor};
 
 /// How aggressively the runner recovers and when it gives up.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Detector thresholds for the health monitor.
     pub detectors: DetectorConfig,
@@ -24,13 +22,28 @@ pub struct RecoveryPolicy {
     /// the capped-exponential wait, in ticks, between them.
     pub ladder: BackoffLadder,
     /// When set, every migration first persists the pre-migration
-    /// checkpoint here (with [`RetryPolicy`]-guarded writes), so a crash
+    /// checkpoint here (each write retried up `checkpoint_retry`), so a crash
     /// mid-migration can resume from the last consistent state. The runner
     /// owns the directory's checkpoints: [`SelfHealingRunner::new`] clears
     /// an earlier run's, and the newest two are kept.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Retry budget for the persisted checkpoint write.
-    pub checkpoint_retry: RetryPolicy,
+    /// Retry ladder for the persisted checkpoint write, counted in
+    /// milliseconds: the attempts it may make and the wait after each
+    /// failure.
+    pub checkpoint_retry: BackoffLadder,
+}
+
+impl Default for RecoveryPolicy {
+    /// Default detectors, the default ladder, no checkpoint directory, and
+    /// writes retried after 10 ms and 20 ms.
+    fn default() -> Self {
+        RecoveryPolicy {
+            detectors: DetectorConfig::default(),
+            ladder: BackoffLadder::default(),
+            checkpoint_dir: None,
+            checkpoint_retry: BackoffLadder::CHECKPOINT_WRITES,
+        }
+    }
 }
 
 /// One entry of the runner's recovery journal.
@@ -134,8 +147,7 @@ impl SelfHealingRunner {
         let (w, h) = compiled.network_map().grid;
         let monitor = HealthMonitor::new(policy.detectors, w, h);
         let store = policy.checkpoint_dir.as_ref().map(|dir| {
-            let mut store =
-                CheckpointStore::open(dir, CheckpointPolicy::new(1, 2), policy.checkpoint_retry);
+            let mut store = CheckpointStore::open(dir, 2, policy.checkpoint_retry);
             // A file the clear cannot remove is left to the first write to
             // trip on, where the recovery ladder meters it.
             let _ = store.clear();

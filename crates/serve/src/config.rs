@@ -1,7 +1,7 @@
 //! Fleet sizing, per-round tick plans, deadline policy, recovery ladder,
 //! and checkpoint cadence.
 
-use brainsim_chip::{BackoffLadder, RetryPolicy};
+use brainsim_chip::BackoffLadder;
 
 /// The per-tick execution budget a session is held to.
 ///
@@ -109,15 +109,17 @@ pub struct ServeConfig {
     /// Checkpoint files retained per tenant (≥ 2 buys corruption
     /// fallback).
     pub checkpoint_keep: usize,
-    /// Retry budget for each checkpoint write.
-    pub checkpoint_retry: RetryPolicy,
+    /// Retry ladder for each checkpoint write, counted in milliseconds:
+    /// the attempts a write may make and the wait after each failure.
+    pub checkpoint_retry: BackoffLadder,
 }
 
 impl Default for ServeConfig {
     /// 2 workers, 64 tenants, 256-deep queues, 8 ticks per round (1 when
     /// degraded), shed at 1024 / resume at 512 queued injections, default
     /// deadline policy, 4 recovery attempts backing off 2→16 rounds,
-    /// checkpoint every 50 ticks keeping 3.
+    /// checkpoint every 50 ticks keeping 3, each write retried after 10 ms
+    /// and 20 ms.
     fn default() -> Self {
         ServeConfig {
             workers: 2,
@@ -131,7 +133,7 @@ impl Default for ServeConfig {
             recovery: BackoffLadder::new(2, 16, 4),
             checkpoint_every: 50,
             checkpoint_keep: 3,
-            checkpoint_retry: RetryPolicy::default(),
+            checkpoint_retry: BackoffLadder::CHECKPOINT_WRITES,
         }
     }
 }

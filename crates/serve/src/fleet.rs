@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use brainsim_chip::{run_shards, CheckpointStore, Chip, FailedAttempt, Restored, TelemetryConfig};
+use brainsim_chip::{
+    run_shards, CheckpointStore, Chip, FailedAttempt, Restored, TelemetryConfig, TickSummary,
+};
 use brainsim_telemetry::RunSummary;
 
 use crate::config::ServeConfig;
@@ -235,11 +237,11 @@ fn valid_tenant(name: &str) -> bool {
 }
 
 /// Decodes the checksum a checkpoint's application section carries;
-/// a missing/foreign section reads as the FNV offset basis (fresh).
+/// a missing/foreign section reads as a fresh checksum.
 fn checksum_from_app(app: &[u8]) -> u64 {
     <[u8; 8]>::try_from(app)
         .map(u64::from_le_bytes)
-        .unwrap_or(0xCBF2_9CE4_8422_2325)
+        .unwrap_or(TickSummary::CHECKSUM_START)
 }
 
 impl Fleet {

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::path::Path;
 use std::time::Instant;
 
-use brainsim_chip::{CheckpointPolicy, CheckpointStore, Chip, RecoveryEpisode, SaveError};
+use brainsim_chip::{CheckpointStore, Chip, RecoveryEpisode, SaveError, TickSummary};
 
 use crate::config::{BudgetMeter, ServeConfig};
 
@@ -159,26 +159,6 @@ pub(crate) struct Session {
     pub metrics: SessionMetrics,
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Folds bytes into a running 64-bit FNV-1a hash (the quickstart's fold,
-/// so serve checksums and quickstart checksums are directly comparable).
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Folds one tick's observable output into `hash`.
-pub(crate) fn fold_tick(hash: &mut u64, tick: u64, outputs: &[u32]) {
-    fnv1a(hash, &tick.to_le_bytes());
-    for port in outputs {
-        fnv1a(hash, &port.to_le_bytes());
-    }
-}
-
 impl Session {
     /// A running session whose checkpoints go to `state_dir/<tenant>/`.
     pub(crate) fn new(
@@ -187,8 +167,11 @@ impl Session {
         config: &ServeConfig,
         state_dir: &Path,
     ) -> Session {
-        let policy = CheckpointPolicy::new(config.checkpoint_every, config.checkpoint_keep);
-        let store = CheckpointStore::open(state_dir.join(&tenant), policy, config.checkpoint_retry);
+        let store = CheckpointStore::open(
+            state_dir.join(&tenant),
+            config.checkpoint_keep,
+            config.checkpoint_retry,
+        );
         Session {
             tenant,
             chip,
@@ -197,7 +180,7 @@ impl Session {
             episode: RecoveryEpisode::new(config.recovery),
             miss_streak: 0,
             clean_streak: 0,
-            checksum: FNV_OFFSET,
+            checksum: TickSummary::CHECKSUM_START,
             inject_log: Vec::new(),
             replay_floor: 0,
             store,
@@ -298,7 +281,7 @@ impl Session {
                     metrics.outputs += summary.outputs.len() as u64;
                     metrics.cost_units += cost;
                     metrics.wall_nanos += wall;
-                    fold_tick(checksum, summary.tick, &summary.outputs);
+                    summary.fold_checksum(checksum);
                     out.ticks_done += 1;
                     if plan.budget.exceeded(cost, wall) {
                         out.over_budget_ticks += 1;
@@ -410,11 +393,11 @@ mod tests {
 
         // Checksum matches an independently driven twin.
         let mut twin = relay_chip();
-        let mut expect = FNV_OFFSET;
+        let mut expect = TickSummary::CHECKSUM_START;
         twin.inject_word(0, 0, 0, 1, 1).expect("inject");
         for _ in 0..5 {
             let summary = twin.tick();
-            fold_tick(&mut expect, summary.tick, &summary.outputs);
+            summary.fold_checksum(&mut expect);
         }
         assert_eq!(s.checksum, expect);
     }

@@ -48,8 +48,8 @@ impl From<RestoreError> for SnapshotIoError {
     }
 }
 
-/// Atomic writes of this process that reached (or claimed) their rename:
-/// the ordinals of the hold hook.
+/// Hold ordinals claimed so far in this process: one per write whose claim
+/// lets an attempt reach the rename.
 static WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// The hold hook, read once from the environment: the ordinal of the write
@@ -64,22 +64,6 @@ fn hold_hook() -> Option<(u64, Duration)> {
     })
 }
 
-/// Crash-injection hook for the CI kill tests: when
-/// `BRAINSIM_SNAPSHOT_HOLD_WRITE=n` is set, the `n`-th atomic write of the
-/// process (1-based) sleeps `BRAINSIM_SNAPSHOT_HOLD_MS` milliseconds
-/// (default 30000) *after* the temp file is written and fsynced but
-/// *before* the rename — the widest possible mid-write window. A SIGKILL
-/// landing in that window leaves the previous snapshot untouched. A write
-/// run under a [`WriteClaim`] has the ordinal it claimed, so writes that
-/// commit side by side are numbered in the order they were claimed.
-fn hold_if_hooked(nth: u64) {
-    if let Some((hold, pause)) = hold_hook() {
-        if hold == nth {
-            std::thread::sleep(pause);
-        }
-    }
-}
-
 /// Remaining process-wide injected write failures, seeded once from
 /// `BRAINSIM_SNAPSHOT_FAIL_WRITES` (the retry soak hook).
 static FAIL_BUDGET: OnceLock<AtomicU64> = OnceLock::new();
@@ -88,10 +72,6 @@ thread_local! {
     /// Remaining injected failures armed by [`inject_write_failures`] on
     /// this thread — thread-local so parallel unit tests stay hermetic.
     static LOCAL_FAIL_BUDGET: Cell<u64> = const { Cell::new(0) };
-    /// The claim a [`WriteClaim::run`] armed on this thread, if any: while
-    /// it is armed, its failures and ordinal are the only hooks a write
-    /// sees.
-    static ARMED: Cell<Option<WriteClaim>> = const { Cell::new(None) };
 }
 
 fn fail_budget() -> &'static AtomicU64 {
@@ -114,33 +94,37 @@ fn take_up_to(budget: &AtomicU64, n: u64) -> u64 {
         .map_or(0, |before| before.min(n))
 }
 
-/// Arms the transient-failure injector for the calling thread: its next
-/// `n` atomic snapshot writes fail with a synthetic [`io::Error`] before
-/// touching the filesystem, then writes succeed again. The environment
-/// variable `BRAINSIM_SNAPSHOT_FAIL_WRITES=n` arms the same injector
-/// process-wide at startup — that is the CI soak hook; this function is
-/// the in-process equivalent for tests exercising the retry path.
+/// Arms the transient-failure injector for the calling thread: the next
+/// `n` checkpoint write attempts it claims ([`WriteClaim::claim`]) fail
+/// with a synthetic [`io::Error`] before touching the filesystem, then
+/// attempts succeed again. The environment variable
+/// `BRAINSIM_SNAPSHOT_FAIL_WRITES=n` arms the same injector process-wide at
+/// startup — that is the CI soak hook; this function is the in-process
+/// equivalent for tests exercising the retry path. [`save_atomic`] meets
+/// neither.
 pub fn inject_write_failures(n: u64) {
     LOCAL_FAIL_BUDGET.with(|b| b.set(n));
 }
 
 /// The test hooks one retried checkpoint write will meet, claimed on the
-/// calling thread before the write runs, perhaps on another thread.
+/// calling thread and handed to the write by value.
 ///
 /// Writes that commit side by side reach the disk in no fixed order, so
 /// the hooks cannot be handed out as each write reaches them. A caller
 /// claims them instead, one write after another in its own order, and
-/// each write runs under its claim ([`WriteClaim::run`]). Injected
-/// failures ([`inject_write_failures`], `BRAINSIM_SNAPSHOT_FAIL_WRITES`)
-/// and hold ordinals (`BRAINSIM_SNAPSHOT_HOLD_WRITE`) then land on writes
-/// in claim order, as if the writes had run one at a time.
+/// passes each claim to its write
+/// ([`CheckpointPolicy::save_with_retry`](crate::CheckpointPolicy::save_with_retry)).
+/// Injected failures ([`inject_write_failures`],
+/// `BRAINSIM_SNAPSHOT_FAIL_WRITES`) and hold ordinals
+/// (`BRAINSIM_SNAPSHOT_HOLD_WRITE`) then land on writes in claim order, as
+/// if the writes had run one at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteClaim {
-    /// Injected failures this write's attempts meet first.
-    failures: u64,
+    /// Injected failures this write's first attempts meet.
+    pub(crate) failures: u64,
     /// The hold ordinal of the attempt that reaches the rename; `None`
     /// when every attempt is claimed to fail.
-    ordinal: Option<u64>,
+    pub(crate) ordinal: Option<u64>,
 }
 
 impl WriteClaim {
@@ -159,71 +143,35 @@ impl WriteClaim {
         let ordinal = (failures < cap).then(|| WRITES.fetch_add(1, Ordering::Relaxed) + 1);
         WriteClaim { failures, ordinal }
     }
-
-    /// Runs `write` with this claim armed on the calling thread. Its
-    /// atomic writes meet the claimed failures and hold ordinal and no
-    /// other hook: neither failure budget is consulted meanwhile. The
-    /// thread's own hooks are back as they were when `write` returns.
-    pub fn run<R>(self, write: impl FnOnce() -> R) -> R {
-        /// Disarms the claim even if `write` panics.
-        struct Disarm(Option<WriteClaim>);
-        impl Drop for Disarm {
-            fn drop(&mut self) {
-                ARMED.with(|a| a.set(self.0));
-            }
-        }
-        let _disarm = Disarm(ARMED.with(|a| a.replace(Some(self))));
-        write()
-    }
 }
 
-fn fail_if_armed() -> io::Result<()> {
-    let hit = match ARMED.with(Cell::get) {
-        Some(mut claim) => {
-            let hit = claim.failures > 0;
-            claim.failures = claim.failures.saturating_sub(1);
-            ARMED.with(|a| a.set(Some(claim)));
-            hit
-        }
-        None => {
-            LOCAL_FAIL_BUDGET.with(|b| {
-                let n = b.get();
-                b.set(n.saturating_sub(1));
-                n > 0
-            }) || take_up_to(fail_budget(), 1) == 1
-        }
-    };
-    if hit {
-        return Err(io::Error::other(
-            "injected snapshot write failure (BRAINSIM_SNAPSHOT_FAIL_WRITES)",
-        ));
-    }
-    Ok(())
-}
-
-/// The hold ordinal of an atomic write about to rename: the armed claim's,
-/// once, or else the next in the process.
-fn next_ordinal() -> u64 {
-    let claimed = ARMED.with(|a| {
-        let mut claim = a.get()?;
-        let ordinal = claim.ordinal.take();
-        a.set(Some(claim));
-        ordinal
-    });
-    claimed.unwrap_or_else(|| WRITES.fetch_add(1, Ordering::Relaxed) + 1)
+/// The error of an attempt a [`WriteClaim`] claimed to fail.
+pub(crate) fn injected_failure() -> io::Error {
+    io::Error::other("injected snapshot write failure (BRAINSIM_SNAPSHOT_FAIL_WRITES)")
 }
 
 /// Writes `bytes` to `path` crash-consistently: the content goes to
-/// `<path>.tmp` first, is fsynced, and only then renamed over `path`.
-/// A crash at any point leaves `path` either absent or holding its
-/// complete previous content; an error leaves no temp file behind.
+/// `<path>.tmp` first, is fsynced, and only then renamed over `path`; the
+/// directory is fsynced last. A crash at any point leaves `path` either
+/// absent or holding its complete previous content; an error leaves no
+/// temp file behind. No test hook reaches it.
 pub fn save_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    fail_if_armed()?;
+    save_holding(path, bytes, &mut None)
+}
+
+/// [`save_atomic`] with the crash-injection hook for the CI kill tests:
+/// when `hold` is `Some(n)` and `BRAINSIM_SNAPSHOT_HOLD_WRITE=n` is set,
+/// the write sleeps `BRAINSIM_SNAPSHOT_HOLD_MS` milliseconds (default
+/// 30000) *after* the temp file is written and fsynced but *before* the
+/// rename — the widest possible mid-write window. A SIGKILL landing in
+/// that window leaves the previous snapshot untouched. Reaching that point
+/// takes `hold`, so a retry of the same write does not pause again.
+pub(crate) fn save_holding(path: &Path, bytes: &[u8], hold: &mut Option<u64>) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let f = std::fs::File::create(&tmp)?;
-    if let Err(e) = write_and_rename(f, &tmp, path, bytes) {
+    if let Err(e) = write_and_rename(f, &tmp, path, bytes, hold) {
         // Best effort: the original error is the one worth reporting.
         let _ = std::fs::remove_file(&tmp);
         return Err(e);
@@ -238,13 +186,23 @@ pub fn save_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// The steps of [`save_atomic`] after the temp file exists: write and
+/// The steps of [`save_holding`] after the temp file exists: write and
 /// fsync it, then rename it over `path` (the commit point).
-fn write_and_rename(mut f: std::fs::File, tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_and_rename(
+    mut f: std::fs::File,
+    tmp: &Path,
+    path: &Path,
+    bytes: &[u8],
+    hold: &mut Option<u64>,
+) -> io::Result<()> {
     io::Write::write_all(&mut f, bytes)?;
     f.sync_all()?;
     drop(f);
-    hold_if_hooked(next_ordinal());
+    if let (Some(nth), Some((held, pause))) = (hold.take(), hold_hook()) {
+        if nth == held {
+            std::thread::sleep(pause);
+        }
+    }
     std::fs::rename(tmp, path)
 }
 
@@ -342,24 +300,6 @@ mod tests {
             panic!("writes that reach their rename hold ordinals");
         };
         assert!(a < b, "ordinals follow claim order");
-    }
-
-    #[test]
-    fn an_armed_claim_is_the_only_hook_its_write_meets() {
-        let dir = tmpdir("claim");
-        let path = dir.join("state.bsnp");
-        let bytes = encode_container(&[(SectionId::App, vec![9; 16])]);
-        inject_write_failures(2);
-        let claim = WriteClaim::claim(1);
-        assert_eq!(claim.failures, 1);
-        claim.run(|| {
-            assert!(save_atomic(&path, &bytes).is_err(), "the claimed failure");
-            save_atomic(&path, &bytes).expect("the thread's budget is not consulted");
-        });
-        // The thread's own budget is back: its remaining failure, then none.
-        assert!(save_atomic(&path, &bytes).is_err());
-        save_atomic(&path, &bytes).expect("budget spent");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

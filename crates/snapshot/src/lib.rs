@@ -23,16 +23,18 @@
 //!   [`decode_container`] is total over arbitrary bytes, returning typed
 //!   [`RestoreError`]s, never panicking. A container is full, or a delta
 //!   naming its full base by [`BaseRef`].
-//! * file — [`save_atomic`] (write-temp → fsync → rename: a crash leaves
-//!   the previous snapshot intact) and [`load_verified`].
-//! * policy — [`CheckpointPolicy`]: every-N cadence, keep-last-K retention
-//!   that keeps the bases retained deltas name, and
+//! * file — [`save_atomic`] (write-temp → fsync → rename → directory
+//!   fsync: a crash leaves the previous snapshot intact), [`load_verified`]
+//!   and the write hooks a [`WriteClaim`] carries.
+//! * policy — [`CheckpointPolicy`]: keep-last-K retention that keeps the
+//!   bases retained deltas name, the one retried write
+//!   [`CheckpointPolicy::save_with_retry`], and
 //!   [`CheckpointPolicy::load_newest_verifying`], which resolves deltas
 //!   through the [`Checkpoint`] trait and falls back past a corrupt latest
-//!   snapshot or a lost base. Beside it, the retry vocabulary: wall-clock
-//!   [`RetryPolicy`] for writes, and the step-counted [`BackoffLadder`]
-//!   with its [`RecoveryEpisode`], the one recovery ladder the
-//!   self-healing runner and the serving fleet both drive.
+//!   snapshot or a lost base. Beside it, the one retry vocabulary: the
+//!   capped-exponential [`BackoffLadder`], counted in milliseconds for a
+//!   write's retries and in ticks or rounds for the [`RecoveryEpisode`]
+//!   the self-healing runner and the serving fleet both drive.
 //!
 //! The chip-level assembly — `Chip::checkpoint()` / `Chip::restore()` and
 //! the `Snapshot` type — lives in `brainsim-chip`, which composes these
@@ -44,21 +46,22 @@
 //! ## Crash-injection hook
 //!
 //! For the CI kill tests, `BRAINSIM_SNAPSHOT_HOLD_WRITE=n` makes the
-//! process's `n`-th atomic write sleep `BRAINSIM_SNAPSHOT_HOLD_MS`
+//! process's `n`-th checkpoint write sleep `BRAINSIM_SNAPSHOT_HOLD_MS`
 //! milliseconds between the temp-file fsync and the rename — the widest
 //! mid-write window. A SIGKILL landing there must (and does) leave the
 //! newest committed snapshot loadable.
 //!
 //! For the retry path, `BRAINSIM_SNAPSHOT_FAIL_WRITES=n` makes the first
-//! `n` atomic writes of the process fail with a synthetic `io::Error`
-//! ([`inject_write_failures`] is the per-thread in-process equivalent);
-//! [`CheckpointPolicy::save_with_retry`] with a [`RetryPolicy`] rides out
-//! such transients and surfaces exhaustion as a typed [`SaveError`].
+//! `n` checkpoint write attempts of the process fail with a synthetic
+//! `io::Error` ([`inject_write_failures`] is the per-thread in-process
+//! equivalent); [`CheckpointPolicy::save_with_retry`] rides out such
+//! transients and surfaces exhaustion as a typed [`SaveError`].
 //!
-//! Both hooks are read from the environment once per process. A writer
-//! that commits several files side by side claims each write's hooks
-//! first, in its own order ([`WriteClaim`]), so failures and hold ordinals
-//! land on the same writes as if they had run one at a time.
+//! Both hooks are read from the environment once per process, and only a
+//! [`WriteClaim`] takes from them: the writer claims each write's hooks in
+//! its own order and passes the claim to `save_with_retry` by value, so
+//! failures and hold ordinals land on the same writes whether they commit
+//! one at a time or side by side. [`save_atomic`] itself meets no hook.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,5 +82,5 @@ pub use crc::crc32;
 pub use file::{inject_write_failures, load_verified, save_atomic, SnapshotIoError, WriteClaim};
 pub use policy::{
     BackoffLadder, Checkpoint, CheckpointPolicy, FailedAttempt, NewestVerifying, RecoveryEpisode,
-    RetryPolicy, SaveError, SkippedCheckpoint,
+    SaveError, SkippedCheckpoint,
 };

@@ -1,5 +1,5 @@
-//! Checkpoint cadence and retention: save every N ticks, keep the last K,
-//! and on restore fall back to the newest snapshot that still verifies.
+//! Checkpoint retention: keep the last K checkpoints, and on restore fall
+//! back to the newest snapshot that still verifies.
 //!
 //! A checkpoint file is full or a delta (see the container docs). A delta
 //! is only as good as its base, so retention keeps every base a retained
@@ -14,58 +14,13 @@ use std::time::Duration;
 use crate::container::{
     decode_container, verify, BaseRef, RestoreError, SectionId, BASE_PREFIX_LEN,
 };
-use crate::file::{save_atomic, SnapshotIoError};
+use crate::file::{injected_failure, save_holding, SnapshotIoError, WriteClaim};
 
-/// Bounded retry with capped exponential backoff for checkpoint writes.
-///
-/// A transient `io::Error` on a checkpoint write (disk-full blip, NFS
-/// hiccup, injected failure) should not abort an otherwise healthy run:
-/// [`CheckpointPolicy::save_with_retry`] re-attempts up to `attempts`
-/// times, sleeping `base × 2^(k−1)` (capped at `cap`) after the `k`-th
-/// failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    attempts: u32,
-    base: Duration,
-    cap: Duration,
-}
-
-impl RetryPolicy {
-    /// Up to `attempts` total attempts (min 1), exponential backoff from
-    /// `base`, capped at `cap`.
-    pub fn new(attempts: u32, base: Duration, cap: Duration) -> RetryPolicy {
-        RetryPolicy {
-            attempts: attempts.max(1),
-            base,
-            cap: cap.max(base),
-        }
-    }
-
-    /// Total attempts permitted.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// The backoff slept after the `failed` -th failed attempt (1-based):
-    /// `base × 2^(failed−1)`, saturating, capped at `cap`.
-    pub fn backoff_after(&self, failed: u32) -> Duration {
-        let doublings = failed.saturating_sub(1).min(32);
-        let delay = self.base.saturating_mul(1u32 << doublings);
-        delay.min(self.cap)
-    }
-}
-
-impl Default for RetryPolicy {
-    /// 3 attempts, 10 ms base, 500 ms cap.
-    fn default() -> Self {
-        RetryPolicy::new(3, Duration::from_millis(10), Duration::from_millis(500))
-    }
-}
-
-/// [`RetryPolicy`]'s deterministic twin: a bounded capped-exponential
-/// retry ladder over an abstract step unit — ticks for the self-healing
-/// runner, scheduling rounds for a serving runtime. Measuring backoff in
-/// simulation steps instead of wall time keeps every retry schedule
+/// A bounded capped-exponential retry ladder over an abstract step unit:
+/// ticks for the self-healing runner, scheduling rounds for a serving
+/// runtime, and milliseconds for a checkpoint write's retries
+/// ([`CheckpointPolicy::save_with_retry`]). Measuring recovery backoff in
+/// simulation steps instead of wall time keeps those schedules
 /// deterministic and replayable.
 ///
 /// The ladder answers one question: after the `k`-th consecutive failure,
@@ -78,6 +33,15 @@ pub struct BackoffLadder {
 }
 
 impl BackoffLadder {
+    /// The default checkpoint write retries, in milliseconds: 10 ms after
+    /// the first failure, 20 ms after the second, and a [`SaveError`]
+    /// after the third.
+    pub const CHECKPOINT_WRITES: BackoffLadder = BackoffLadder {
+        base: 10,
+        cap: 500,
+        max_attempts: 3,
+    };
+
     /// A ladder waiting `base × 2^(k−1)` steps after the `k`-th failure
     /// (capped at `cap`), permitting `max_attempts` attempts in total.
     /// Degenerate inputs clamp: `base ≥ 1`, `cap ≥ base`,
@@ -199,7 +163,7 @@ impl RecoveryEpisode {
 /// A checkpoint write that failed on every permitted attempt.
 #[derive(Debug)]
 pub struct SaveError {
-    /// Attempts made (equals the policy's budget).
+    /// Attempts made (the retry ladder's `max_attempts`).
     pub attempts: u32,
     /// The error from the final attempt.
     pub last: io::Error,
@@ -356,43 +320,23 @@ fn scan(dir: &Path) -> io::Result<(Listing, Listing)> {
     Ok((checkpoints, bases))
 }
 
-/// When to checkpoint and how many checkpoints to retain.
+/// How many checkpoints to retain, and the layout of a checkpoint
+/// directory.
 ///
 /// Retention is the corruption-recovery margin: with `keep ≥ 2`, a latest
 /// snapshot damaged on disk (bit rot, torn by an unlucky crash window on a
 /// non-atomic filesystem) still leaves an older verified one for
-/// [`CheckpointPolicy::load_newest_verifying`] to fall back to.
+/// [`CheckpointPolicy::load_newest_verifying`] to fall back to. When to
+/// checkpoint is the writer's own cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    every: u64,
     keep: usize,
 }
 
 impl CheckpointPolicy {
-    /// Checkpoint every `every` ticks (min 1), keeping the newest `keep`
-    /// files (min 1).
-    pub fn new(every: u64, keep: usize) -> CheckpointPolicy {
-        CheckpointPolicy {
-            every: every.max(1),
-            keep: keep.max(1),
-        }
-    }
-
-    /// The checkpoint interval in ticks.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// How many checkpoint files are retained.
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
-    /// True when a checkpoint is due after completing tick `tick − 1`,
-    /// i.e. when `tick` (the number of ticks completed) is a positive
-    /// multiple of the interval.
-    pub fn due(&self, tick: u64) -> bool {
-        tick > 0 && tick.is_multiple_of(self.every)
+    /// Keeps the newest `keep` checkpoint files (min 1).
+    pub fn new(keep: usize) -> CheckpointPolicy {
+        CheckpointPolicy { keep: keep.max(1) }
     }
 
     /// The canonical file path for the checkpoint taken at `tick`. The
@@ -441,6 +385,14 @@ impl CheckpointPolicy {
     /// to the newest `keep` checkpoints. Returns the oldest tick still on
     /// disk as a checkpoint: the floor of every later restore.
     ///
+    /// A failed attempt is retried up `retry`, a ladder counted in
+    /// milliseconds; only exhausting it surfaces, as a [`SaveError`]
+    /// carrying the attempt count and the final cause. The write meets the
+    /// test hooks of `claim` and no other: its first `claim.failures`
+    /// attempts fail with a synthetic error, and the first attempt that
+    /// reaches the rename pauses there iff the claim's hold ordinal is
+    /// `BRAINSIM_SNAPSHOT_HOLD_WRITE`.
+    ///
     /// The rename that commits the new file is the success point. Pruning
     /// after it is best effort: a file it cannot remove stays a checkpoint
     /// (and the floor), and the next save tries again. A pruned checkpoint
@@ -450,16 +402,44 @@ impl CheckpointPolicy {
     ///
     /// # Errors
     ///
-    /// The error of creating `dir` or of the atomic write.
-    pub fn save(&self, dir: &Path, tick: u64, bytes: &[u8]) -> io::Result<u64> {
-        std::fs::create_dir_all(dir)?;
-        save_atomic(&CheckpointPolicy::path_for(dir, tick), bytes)?;
-        // Without a listing nothing is known to be gone: floor at 0.
-        Ok(self.prune(dir).unwrap_or(0))
+    /// [`SaveError`] after `retry.max_attempts()` consecutive failures to
+    /// create `dir` or write the file.
+    pub fn save_with_retry(
+        &self,
+        dir: &Path,
+        tick: u64,
+        bytes: &[u8],
+        retry: &BackoffLadder,
+        claim: WriteClaim,
+    ) -> Result<u64, SaveError> {
+        let path = CheckpointPolicy::path_for(dir, tick);
+        let mut hold = claim.ordinal;
+        let mut failed = 0;
+        loop {
+            let attempt = if u64::from(failed) < claim.failures {
+                Err(injected_failure())
+            } else {
+                std::fs::create_dir_all(dir).and_then(|()| save_holding(&path, bytes, &mut hold))
+            };
+            let Err(last) = attempt else {
+                // Without a listing nothing is known to be gone: floor at 0.
+                return Ok(self.prune(dir).unwrap_or(0));
+            };
+            failed += 1;
+            match retry.delay_after(failed) {
+                Some(ms) => std::thread::sleep(Duration::from_millis(ms)),
+                None => {
+                    return Err(SaveError {
+                        attempts: failed,
+                        last,
+                    })
+                }
+            }
+        }
     }
 
-    /// The pruning half of [`CheckpointPolicy::save`]; returns the oldest
-    /// checkpoint left.
+    /// The pruning half of [`CheckpointPolicy::save_with_retry`]; returns
+    /// the oldest checkpoint left.
     fn prune(&self, dir: &Path) -> io::Result<u64> {
         let (checkpoints, bases) = scan(dir)?;
         let cut = checkpoints.len().saturating_sub(self.keep);
@@ -489,42 +469,6 @@ impl CheckpointPolicy {
         Ok(oldest)
     }
 
-    /// [`CheckpointPolicy::save`] wrapped in a [`RetryPolicy`]: transient
-    /// write failures are retried with capped exponential backoff; only
-    /// exhausting the attempt budget surfaces, as a [`SaveError`] carrying
-    /// the attempt count and the final cause. Returns what `save` returns.
-    ///
-    /// # Errors
-    ///
-    /// [`SaveError`] after `retry.attempts()` consecutive failures.
-    pub fn save_with_retry(
-        &self,
-        dir: &Path,
-        tick: u64,
-        bytes: &[u8],
-        retry: &RetryPolicy,
-    ) -> Result<u64, SaveError> {
-        let mut failed = 0;
-        loop {
-            match self.save(dir, tick, bytes) {
-                Ok(oldest) => return Ok(oldest),
-                Err(last) => {
-                    failed += 1;
-                    if failed >= retry.attempts() {
-                        return Err(SaveError {
-                            attempts: failed,
-                            last,
-                        });
-                    }
-                    let backoff = retry.backoff_after(failed);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            }
-        }
-    }
-
     /// Loads the newest checkpoint in `dir` that verifies (magic, version,
     /// every section CRC) and decodes, walking backwards past corrupt or
     /// unreadable files. A delta is resolved against the base it names,
@@ -546,13 +490,6 @@ impl CheckpointPolicy {
             }
         }
         Ok((None, skipped))
-    }
-}
-
-impl Default for CheckpointPolicy {
-    /// Every 100 ticks, keep the last 3.
-    fn default() -> Self {
-        CheckpointPolicy::new(100, 3)
     }
 }
 
@@ -612,6 +549,15 @@ mod tests {
         }
     }
 
+    /// One write with no hooks and no retry.
+    fn save(p: &CheckpointPolicy, dir: &Path, tick: u64, bytes: &[u8]) -> Result<u64, SaveError> {
+        let no_hooks = WriteClaim {
+            failures: 0,
+            ordinal: None,
+        };
+        p.save_with_retry(dir, tick, bytes, &BackoffLadder::new(1, 1, 1), no_hooks)
+    }
+
     fn ticks(dir: &Path) -> Vec<u64> {
         CheckpointPolicy::list(dir)
             .expect("list")
@@ -621,23 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn cadence() {
-        let p = CheckpointPolicy::new(25, 2);
-        assert!(!p.due(0));
-        assert!(!p.due(24));
-        assert!(p.due(25));
-        assert!(p.due(50));
-        assert!(!p.due(51));
-        // Degenerate intervals clamp instead of dividing by zero.
-        assert!(CheckpointPolicy::new(0, 0).due(1));
-    }
-
-    #[test]
     fn save_rotates_and_keeps_newest_k() {
         let dir = tmpdir("rotate");
-        let p = CheckpointPolicy::new(10, 2);
+        let p = CheckpointPolicy::new(2);
         for (tick, oldest) in [(10, 10), (20, 10), (30, 20), (40, 30)] {
-            assert_eq!(p.save(&dir, tick, &payload(tick)).expect("save"), oldest);
+            assert_eq!(save(&p, &dir, tick, &payload(tick)).expect("save"), oldest);
         }
         assert_eq!(ticks(&dir), vec![30, 40]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -646,11 +580,10 @@ mod tests {
     #[test]
     fn clear_removes_checkpoints_and_bases_only() {
         let dir = tmpdir("clear");
-        let p = CheckpointPolicy::new(10, 1);
+        let p = CheckpointPolicy::new(1);
         let base = payload(10);
-        p.save(&dir, 10, &base).expect("save base");
-        p.save(&dir, 20, &delta(20, BaseRef::of(10, &base)))
-            .expect("save delta");
+        save(&p, &dir, 10, &base).expect("save base");
+        save(&p, &dir, 20, &delta(20, BaseRef::of(10, &base))).expect("save delta");
         assert!(CheckpointPolicy::base_path_for(&dir, 10).exists());
         let other = dir.join("notes.txt");
         std::fs::write(&other, b"keep me").expect("write other file");
@@ -671,14 +604,14 @@ mod tests {
         let dir = tmpdir("prune-fails");
         let blocker = CheckpointPolicy::path_for(&dir, 10);
         std::fs::create_dir_all(blocker.join("occupied")).expect("create blocker");
-        let p = CheckpointPolicy::new(10, 1);
+        let p = CheckpointPolicy::new(1);
         for tick in [20, 30] {
-            assert_eq!(p.save(&dir, tick, &payload(tick)).expect("save"), 10);
+            assert_eq!(save(&p, &dir, tick, &payload(tick)).expect("save"), 10);
         }
         assert_eq!(ticks(&dir), vec![10, 30]);
         // Once the blocker goes, the next save prunes it.
         std::fs::remove_dir_all(&blocker).expect("remove blocker");
-        assert_eq!(p.save(&dir, 40, &payload(40)).expect("save"), 40);
+        assert_eq!(save(&p, &dir, 40, &payload(40)).expect("save"), 40);
         assert_eq!(ticks(&dir), vec![40]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -686,12 +619,12 @@ mod tests {
     #[test]
     fn retention_keeps_every_base_a_retained_delta_names() {
         let dir = tmpdir("bases");
-        let p = CheckpointPolicy::new(10, 2);
+        let p = CheckpointPolicy::new(2);
         let base = payload(10);
-        p.save(&dir, 10, &base).expect("save base");
+        save(&p, &dir, 10, &base).expect("save base");
         let named = BaseRef::of(10, &base);
-        p.save(&dir, 20, &delta(20, named)).expect("save 20");
-        assert_eq!(p.save(&dir, 30, &delta(30, named)).expect("save 30"), 20);
+        save(&p, &dir, 20, &delta(20, named)).expect("save 20");
+        assert_eq!(save(&p, &dir, 30, &delta(30, named)).expect("save 30"), 20);
 
         // The base left the window: no longer a checkpoint, still a base.
         assert_eq!(ticks(&dir), vec![20, 30]);
@@ -702,10 +635,8 @@ mod tests {
 
         // A new base and a delta over it: nothing names tick 10 any more.
         let base = payload(40);
-        p.save(&dir, 40, &base).expect("save base");
-        let oldest = p
-            .save(&dir, 50, &delta(50, BaseRef::of(40, &base)))
-            .expect("save 50");
+        save(&p, &dir, 40, &base).expect("save base");
+        let oldest = save(&p, &dir, 50, &delta(50, BaseRef::of(40, &base))).expect("save 50");
         assert_eq!(oldest, 40);
         assert_eq!(ticks(&dir), vec![40, 50]);
         assert!(!CheckpointPolicy::base_path_for(&dir, 10).exists());
@@ -715,12 +646,11 @@ mod tests {
     #[test]
     fn a_delta_without_its_base_is_skipped_and_the_walk_falls_back() {
         let dir = tmpdir("lost-base");
-        let p = CheckpointPolicy::new(10, 4);
-        p.save(&dir, 10, &payload(10)).expect("save 10");
+        let p = CheckpointPolicy::new(4);
+        save(&p, &dir, 10, &payload(10)).expect("save 10");
         let base = payload(20);
-        p.save(&dir, 20, &base).expect("save 20");
-        p.save(&dir, 30, &delta(30, BaseRef::of(20, &base)))
-            .expect("save 30");
+        save(&p, &dir, 20, &base).expect("save 20");
+        save(&p, &dir, 30, &delta(30, BaseRef::of(20, &base))).expect("save 30");
         let base_path = CheckpointPolicy::path_for(&dir, 20);
         let walk = |dir: &Path| {
             let (found, skipped) =
@@ -761,9 +691,9 @@ mod tests {
     #[test]
     fn newest_verifying_falls_back_past_corruption() {
         let dir = tmpdir("fallback");
-        let p = CheckpointPolicy::new(10, 3);
-        p.save(&dir, 10, &payload(10)).expect("save 10");
-        p.save(&dir, 20, &payload(20)).expect("save 20");
+        let p = CheckpointPolicy::new(3);
+        save(&p, &dir, 10, &payload(10)).expect("save 10");
+        save(&p, &dir, 20, &payload(20)).expect("save 20");
         // Damage the newest file on disk.
         let newest = CheckpointPolicy::path_for(&dir, 20);
         let mut bytes = std::fs::read(&newest).expect("read newest");
@@ -785,9 +715,9 @@ mod tests {
     #[test]
     fn all_corrupt_reports_every_skip_and_no_winner() {
         let dir = tmpdir("all-corrupt");
-        let p = CheckpointPolicy::new(10, 3);
+        let p = CheckpointPolicy::new(3);
         for tick in [10, 20] {
-            p.save(&dir, tick, &payload(tick)).expect("save");
+            save(&p, &dir, tick, &payload(tick)).expect("save");
             let path = CheckpointPolicy::path_for(&dir, tick);
             let mut bytes = std::fs::read(&path).expect("read");
             let n = bytes.len();
@@ -807,11 +737,11 @@ mod tests {
     #[test]
     fn retry_rides_out_injected_transient_failures() {
         let dir = tmpdir("retry-ok");
-        let p = CheckpointPolicy::new(10, 2);
-        let retry = RetryPolicy::new(3, Duration::ZERO, Duration::ZERO);
+        let p = CheckpointPolicy::new(2);
+        let retry = BackoffLadder::new(1, 1, 3);
         crate::file::inject_write_failures(2);
         let oldest = p
-            .save_with_retry(&dir, 10, &payload(10), &retry)
+            .save_with_retry(&dir, 10, &payload(10), &retry, WriteClaim::claim(3))
             .expect("third attempt succeeds");
         assert_eq!(oldest, 10);
         let path = CheckpointPolicy::path_for(&dir, 10);
@@ -822,31 +752,25 @@ mod tests {
     #[test]
     fn retry_exhaustion_surfaces_attempts_and_cause() {
         let dir = tmpdir("retry-exhaust");
-        let p = CheckpointPolicy::new(10, 2);
-        let retry = RetryPolicy::new(3, Duration::ZERO, Duration::ZERO);
+        let p = CheckpointPolicy::new(2);
+        let retry = BackoffLadder::new(1, 1, 3);
         crate::file::inject_write_failures(5);
         let err = p
-            .save_with_retry(&dir, 10, &payload(10), &retry)
+            .save_with_retry(&dir, 10, &payload(10), &retry, WriteClaim::claim(3))
             .expect_err("budget exhausted");
         assert_eq!(err.attempts, 3);
         assert!(err.last.to_string().contains("injected"));
-        // Drain the leftover budget so later saves on this thread succeed.
-        crate::file::inject_write_failures(0);
         assert!(CheckpointPolicy::list(&dir).expect("list").is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        let r = RetryPolicy::new(6, Duration::from_millis(10), Duration::from_millis(35));
-        assert_eq!(r.backoff_after(1), Duration::from_millis(10));
-        assert_eq!(r.backoff_after(2), Duration::from_millis(20));
-        assert_eq!(r.backoff_after(3), Duration::from_millis(35)); // capped
-        assert_eq!(r.backoff_after(6), Duration::from_millis(35));
-        // Degenerate budgets clamp to one attempt; cap never undercuts base.
+    fn the_checkpoint_write_ladder_waits_10_then_20_ms_then_gives_up() {
+        let l = BackoffLadder::CHECKPOINT_WRITES;
+        assert_eq!(l, BackoffLadder::new(10, 500, 3));
         assert_eq!(
-            RetryPolicy::new(0, Duration::ZERO, Duration::ZERO).attempts(),
-            1
+            (l.delay_after(1), l.delay_after(2), l.delay_after(3)),
+            (Some(10), Some(20), None)
         );
     }
 
@@ -870,6 +794,12 @@ mod tests {
         // Huge failure counts must not overflow the shift.
         let l = BackoffLadder::new(u64::MAX, u64::MAX, u32::MAX);
         assert_eq!(l.delay_after(70), Some(u64::MAX));
+
+        // Past 32 doublings a long ladder stays at its cap.
+        let l = BackoffLadder::new(10, 500, u32::MAX);
+        for failed in [33, 64, u32::MAX - 1] {
+            assert_eq!(l.delay_after(failed), Some(500), "after failure {failed}");
+        }
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         recovery: BackoffLadder::new(1, 4, 3),
         checkpoint_every: 16,
         checkpoint_keep: 3,
-        checkpoint_retry: Default::default(),
+        checkpoint_retry: BackoffLadder::CHECKPOINT_WRITES,
     };
     let mut fleet = Fleet::new(config, &args.state_dir);
 

@@ -23,7 +23,7 @@
 //! | [`encoding`] | `brainsim-encoding` | rate/latency/population codecs |
 //! | [`apps`] | `brainsim-apps` | classifier, edge filter bank, ITD estimator |
 //! | [`telemetry`] | `brainsim-telemetry` | per-tick probes, ring sinks, JSONL exporter |
-//! | [`snapshot`] | `brainsim-snapshot` | crash-consistent checkpoint container, codecs, retention and retry policy |
+//! | [`snapshot`] | `brainsim-snapshot` | crash-consistent checkpoint container, codecs, retention and the retry ladder |
 //! | [`recovery`] | `brainsim-recovery` | self-healing runtime: fault detection, re-placement, hot migration |
 //! | [`serve`] | `brainsim-serve` | multi-tenant serving runtime: deadlines, backpressure, crash-isolated recovery |
 //!
