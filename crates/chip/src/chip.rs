@@ -691,7 +691,11 @@ impl Chip {
         true
     }
 
-    /// Resets all cores, the tick counter and the accounting; keeps wiring.
+    /// Resets all cores, the tick counter and the accounting; keeps wiring
+    /// and fault state. Each core's LFSR is not rewound to its build seed
+    /// ([`NeurosynapticCore::reset`]): a chip with stochastic neurons
+    /// continues its streams, so its run after `reset` differs from a
+    /// freshly built chip's. Deterministic chips replay exactly.
     pub fn reset(&mut self) {
         for core in &mut self.cores {
             core.reset();

@@ -26,6 +26,13 @@
 //! above. It has no `cores` or `faults` section: those tables change only
 //! under [`crate::Chip::set_fault_plan`], and the base holds them.
 
+// This module decodes checkpoint bytes: a malformed image is a typed
+// error, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use brainsim_core::{CoreDynamics, CoreState};
 use brainsim_faults::{FaultPlan, FaultStats};
 use brainsim_snapshot::codec;

@@ -1,63 +1,87 @@
-//! The builder's neuron table and the fast path's parameter store.
+//! The builder's neuron table and a core's parameter tables.
 
-use brainsim_neuron::{DeterministicParams, NeuronConfig};
+use brainsim_neuron::{scalar_quiescent, DeterministicParams, NeuronConfig};
 
 use super::EvalStrategy;
 use crate::spike::Destination;
 
-/// Parameter storage for the struct-of-arrays fast path.
+/// One parameter block per neuron, with a uniform population stored once.
 ///
-/// Cores are overwhelmingly programmed with one parameter block for the
-/// whole population; storing that block once costs ~40 bytes where the
-/// per-neuron vector costs ~10 KiB on a full-size core — and, as important
-/// for the tick path, it stops a cold 10 KiB allocation from sitting
-/// between consecutive cores' hot membrane planes in memory.
+/// The one shape of both of a core's parameter tables: its
+/// [`NeuronConfig`]s (every core, dormant or not) and the fast path's
+/// [`DeterministicParams`]. Cores are overwhelmingly programmed with one
+/// parameter block for the whole population; storing that block once
+/// costs one block where the per-neuron vector costs ~9 KiB on a
+/// full-size core — and, as important for the tick path, it stops a cold
+/// per-neuron allocation from sitting between consecutive cores' hot
+/// membrane planes in memory.
 #[derive(Debug, Clone)]
-pub(super) enum ParamStore {
+pub(super) enum ParamStore<P> {
     /// Every neuron shares this block.
-    Uniform(DeterministicParams),
-    /// Per-neuron blocks, index-aligned with the neuron array.
-    PerNeuron(Vec<DeterministicParams>),
+    Uniform(P),
+    /// Per-neuron blocks, index-aligned with the membrane plane.
+    PerNeuron(Vec<P>),
 }
 
-impl ParamStore {
-    /// The fast path's parameters for a core of `configs` under `strategy`
-    /// (uniform populations collapse to one block), or `None` when the
-    /// core runs the scalar phase-2 walk. This is the one place fast-path
-    /// eligibility is decided: the scalar oracle never takes it, and a
-    /// single stochastic neuron anywhere keeps the whole core off it (the
-    /// LFSR draw order is global to the core). `configs` must be non-empty.
-    pub(super) fn fast_path(
-        strategy: EvalStrategy,
-        configs: &[NeuronConfig],
-    ) -> Option<ParamStore> {
-        if strategy == EvalStrategy::Sparse {
-            return None;
-        }
-        let params = configs
-            .iter()
-            .map(NeuronConfig::deterministic_params)
-            .collect::<Option<Vec<_>>>()?;
-        Some(if params.windows(2).all(|pair| pair[0] == pair[1]) {
-            ParamStore::Uniform(params[0])
+impl<P: PartialEq> ParamStore<P> {
+    /// Stores one block per neuron (`params` must be non-empty),
+    /// collapsing a population that shares one block.
+    pub(super) fn collapse(mut params: Vec<P>) -> ParamStore<P> {
+        if params.windows(2).all(|pair| pair[0] == pair[1]) {
+            ParamStore::Uniform(params.swap_remove(0))
         } else {
             ParamStore::PerNeuron(params)
-        })
-    }
-
-    /// Whether phase 2 runs the vectorised population scan: one block
-    /// shared by every neuron, and scan-safe.
-    pub(super) fn scans(&self) -> bool {
-        matches!(self, ParamStore::Uniform(p) if p.scan_safe())
+        }
     }
 
     /// Neuron `index`'s block, whatever the storage.
     #[inline]
-    pub(super) fn get(&self, index: usize) -> &DeterministicParams {
+    pub(super) fn get(&self, index: usize) -> &P {
         match self {
             ParamStore::Uniform(p) => p,
             ParamStore::PerNeuron(v) => &v[index],
         }
+    }
+
+    /// The stored blocks: the one shared block, or one per neuron.
+    fn blocks(&self) -> &[P] {
+        match self {
+            ParamStore::Uniform(p) => std::slice::from_ref(p),
+            ParamStore::PerNeuron(v) => v,
+        }
+    }
+}
+
+impl ParamStore<NeuronConfig> {
+    /// The fast path's parameters for a core of these configs under
+    /// `strategy` (uniform populations collapse to one block), or `None`
+    /// when the core runs the scalar phase-2 walk. This is the one place
+    /// fast-path eligibility is decided: the scalar oracle never takes it,
+    /// and a single stochastic neuron anywhere keeps the whole core off it
+    /// (the LFSR draw order is global to the core).
+    pub(super) fn fast_path(
+        &self,
+        strategy: EvalStrategy,
+    ) -> Option<ParamStore<DeterministicParams>> {
+        if strategy == EvalStrategy::Sparse {
+            return None;
+        }
+        let params = self.blocks().iter().map(NeuronConfig::deterministic_params);
+        Some(ParamStore::collapse(params.collect::<Option<Vec<_>>>()?))
+    }
+
+    /// Whether every neuron at rest (V = 0) is a zero-input fixed point:
+    /// the settled flag of a core just built or reset.
+    pub(super) fn quiescent_at_rest(&self) -> bool {
+        self.blocks().iter().all(|c| scalar_quiescent(c, 0))
+    }
+}
+
+impl ParamStore<DeterministicParams> {
+    /// Whether phase 2 runs the vectorised population scan: one block
+    /// shared by every neuron, and scan-safe.
+    pub(super) fn scans(&self) -> bool {
+        matches!(self, ParamStore::Uniform(p) if p.scan_safe())
     }
 }
 
