@@ -6,12 +6,12 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use brainsim_core::{CoreStats, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
+use brainsim_core::{CoreState, CoreStats, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
 use brainsim_energy::EventCensus;
 use brainsim_faults::{FaultInjector, FaultPlan, FaultStats};
 use brainsim_telemetry::{TelemetryConfig, TelemetryLog};
 
-use crate::builder::validate_wiring;
+use crate::builder::{validate_wiring, write_arena};
 use crate::config::ChipConfig;
 use crate::snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
 use brainsim_snapshot::{BaseRef, RestoreError};
@@ -487,7 +487,7 @@ impl Chip {
                 config.height
             )));
         }
-        let mut cores = Vec::with_capacity(snapshot.cores.len());
+        let words_per_core = config.core_axons * config.core_neurons.div_ceil(64);
         for (i, state) in snapshot.cores.iter().enumerate() {
             if state.axons != config.core_axons || state.neurons != config.core_neurons {
                 return Err(RestoreError::Invalid(format!(
@@ -501,12 +501,44 @@ impl Chip {
                     state.now, snapshot.now
                 )));
             }
-            let core = NeurosynapticCore::import_state(state)
-                .map_err(|e| RestoreError::Invalid(format!("core {i}: {e}")))?;
+            // Checked before the arena is sized or anything copied into it.
+            if state.crossbar_words.len() != words_per_core {
+                return Err(RestoreError::Invalid(format!(
+                    "core {i} has {} crossbar words but the config says {words_per_core}",
+                    state.crossbar_words.len()
+                )));
+            }
+        }
+        // A core whose words are all zero takes no window and stays empty.
+        fn block(state: &CoreState) -> &[u64] {
+            let words = &state.crossbar_words[..];
+            if words.iter().any(|&w| w != 0) {
+                words
+            } else {
+                &[]
+            }
+        }
+        let programmed = snapshot
+            .cores
+            .iter()
+            .filter(|s| !block(s).is_empty())
+            .count();
+        let (arena, offsets) = write_arena(
+            programmed * words_per_core,
+            snapshot.cores.iter().map(block),
+        );
+        let mut cores = Vec::with_capacity(snapshot.cores.len());
+        // Each image is dropped once its core is imported.
+        for (i, (state, offset)) in snapshot.cores.into_iter().zip(offsets).enumerate() {
+            let core = match offset {
+                Some(offset) => NeurosynapticCore::import_state_in(&state, arena.clone(), offset),
+                None => NeurosynapticCore::import_state(&state),
+            }
+            .map_err(|e| RestoreError::Invalid(format!("core {i}: {e}")))?;
             cores.push(core);
         }
         validate_wiring(&config, &cores).map_err(|e| RestoreError::Invalid(e.to_string()))?;
-        crate::builder::pack_cores(&mut cores);
+        brainsim_core::repack_cores(&mut cores);
 
         let mut chip = Chip::from_parts(config, cores, false);
         chip.now = snapshot.now;
@@ -1534,12 +1566,50 @@ pub(crate) mod tests {
             Err(RestoreError::Invalid(_))
         ));
 
+        // A core image whose crossbar word count disagrees with the config
+        // is refused before the arena is sized or anything copied from it.
+        let words = good.cores[1].crossbar_words.len();
+        for (case, len) in [
+            ("one word short", words - 1),
+            ("one word long", words + 1),
+            ("far beyond the config", words * 4096),
+        ] {
+            let mut bad = good.clone();
+            bad.cores[1].crossbar_words.resize(len, 0);
+            let err = Chip::restore(bad).err();
+            assert!(
+                matches!(&err, Some(RestoreError::Invalid(m)) if m.contains("crossbar words")),
+                "{case}: {err:?}"
+            );
+        }
+
         let mut zero_dim = good;
         zero_dim.config.width = 0;
         assert!(matches!(
             Chip::restore(zero_dim),
             Err(RestoreError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn an_all_zero_crossbar_between_programmed_cores_round_trips() {
+        let mut b = relay_builder(3, 1);
+        // Core 1 owns all-zero crossbar words: the build gives it an arena
+        // window, a restore leaves it empty.
+        b.core_mut(1, 0).synapse(0, 0, false).unwrap();
+        let mut chip = b.build().unwrap();
+        chip.inject(0, 0, 0, 0).unwrap();
+        chip.run(2);
+        let bytes = chip.checkpoint().to_bytes();
+        let mut resumed =
+            Chip::restore(Snapshot::from_bytes(&bytes).expect("decode")).expect("restore");
+        assert_eq!(resumed.checkpoint().to_bytes(), bytes);
+        chip.inject(2, 0, 0, chip.now()).unwrap();
+        resumed.inject(2, 0, 0, resumed.now()).unwrap();
+        for _ in 0..4 {
+            assert_eq!(resumed.tick(), chip.tick());
+        }
+        assert_eq!(resumed.checkpoint(), chip.checkpoint());
     }
 
     #[test]

@@ -85,43 +85,37 @@ impl ParamStore<DeterministicParams> {
     }
 }
 
-/// The builder's per-neuron programming table, with uniform-run
-/// compression.
+/// The builder's per-neuron programming table: the parameter blocks and
+/// the destinations, each its own [`Column`].
 ///
+/// The columns compress independently. A structured core writes one shared
+/// config with a distinct destination per neuron: its destination column
+/// densifies while its config column stays one block, instead of 256
+/// copies of it (~9 KiB per full-size core), and [`CoreBuilder::build`]
+/// takes the core's uniform parameter table straight from the column.
 /// Sparse full-silicon workloads program thousands of structurally silent
-/// cores by writing the *same* `(config, destination)` pair to every
-/// neuron in index order. The table recognises that pattern and stores the
-/// pair once — a 64×64 chip builder then holds a few hundred bytes per
-/// quiescent core instead of ~25 KiB of identical parameter blocks — and
-/// falls back to dense per-neuron vectors on the first write that breaks
-/// the run.
+/// cores with the *same* config and destination for every neuron, in index
+/// order; both columns stay runs, and the core is a dormancy candidate.
+///
+/// [`CoreBuilder::build`]: super::CoreBuilder::build
 #[derive(Debug, Clone)]
-pub(super) enum NeuronTable {
-    /// Neurons `0..programmed` hold `front`; the rest hold the default
-    /// `back` pair (`NeuronConfig::default()`, [`Destination::Disabled`]).
-    Uniform {
-        front: Box<(NeuronConfig, Destination)>,
-        back: Box<(NeuronConfig, Destination)>,
-        programmed: usize,
-    },
-    /// Per-neuron storage.
-    Dense {
-        configs: Vec<NeuronConfig>,
-        destinations: Vec<Destination>,
-    },
+pub(super) struct NeuronTable {
+    /// Every neuron's parameter block.
+    pub(super) configs: Column<NeuronConfig>,
+    /// Every neuron's spike destination.
+    pub(super) destinations: Column<Destination>,
 }
 
 impl NeuronTable {
+    /// Every neuron at the default config and [`Destination::Disabled`].
     pub(super) fn new() -> NeuronTable {
-        let default = (NeuronConfig::default(), Destination::Disabled);
-        NeuronTable::Uniform {
-            front: Box::new(default.clone()),
-            back: Box::new(default),
-            programmed: 0,
+        NeuronTable {
+            configs: Column::new(NeuronConfig::default()),
+            destinations: Column::new(Destination::Disabled),
         }
     }
 
-    /// Records one neuron programming, compressing uniform runs.
+    /// Records one neuron programming of a core of `n` neurons.
     pub(super) fn set(
         &mut self,
         index: usize,
@@ -129,72 +123,86 @@ impl NeuronTable {
         destination: Destination,
         n: usize,
     ) {
-        if let NeuronTable::Uniform {
+        self.configs.set(index, config, n);
+        self.destinations.set(index, destination, n);
+    }
+}
+
+/// One column of the builder's [`NeuronTable`], with uniform-run
+/// compression: writes of one value in index order from neuron 0 are
+/// stored once, and the first write that breaks the run expands the column
+/// to one value per neuron.
+#[derive(Debug, Clone)]
+pub(super) enum Column<T> {
+    /// Neurons `0..programmed` hold `front`; the rest hold the column's
+    /// default, `back`.
+    Run {
+        front: T,
+        back: T,
+        programmed: usize,
+    },
+    /// One value per neuron.
+    Dense(Vec<T>),
+}
+
+impl<T: Clone + PartialEq> Column<T> {
+    fn new(default: T) -> Column<T> {
+        Column::Run {
+            front: default.clone(),
+            back: default,
+            programmed: 0,
+        }
+    }
+
+    /// Records neuron `index`'s value, extending or breaking the run.
+    fn set(&mut self, index: usize, value: T, n: usize) {
+        if let Column::Run {
             front, programmed, ..
         } = self
         {
-            let matches_front = front.0 == config && front.1 == destination;
             if *programmed == 0 && index == 0 {
-                **front = (config, destination);
+                *front = value;
                 *programmed = 1;
                 return;
             }
-            if matches_front && index <= *programmed {
+            if *front == value && index <= *programmed {
                 if index == *programmed {
                     *programmed += 1;
                 }
                 return;
             }
-            self.densify(n);
+            *self = Column::Dense(self.expanded(n));
         }
-        if let NeuronTable::Dense {
-            configs,
-            destinations,
-        } = self
-        {
-            configs[index] = config;
-            destinations[index] = destination;
+        if let Column::Dense(values) = self {
+            values[index] = value;
         }
     }
 
-    /// Expands to per-neuron storage.
-    fn densify(&mut self, n: usize) {
-        let (configs, destinations) = self.expanded(n);
-        *self = NeuronTable::Dense {
-            configs,
-            destinations,
-        };
-    }
-
-    /// Every neuron's parameter block and destination, as per-neuron
-    /// vectors of length `n`.
-    pub(super) fn expanded(&self, n: usize) -> (Vec<NeuronConfig>, Vec<Destination>) {
+    /// Every neuron's value, one per neuron, for `n` neurons.
+    pub(super) fn expanded(&self, n: usize) -> Vec<T> {
         match self {
-            NeuronTable::Uniform {
+            Column::Run {
                 front,
                 back,
                 programmed,
             } => (0..n)
                 .map(|i| if i < *programmed { front } else { back })
-                .map(|pair| (pair.0.clone(), pair.1))
-                .unzip(),
-            NeuronTable::Dense {
-                configs,
-                destinations,
-            } => (configs.clone(), destinations.clone()),
+                .cloned()
+                .collect(),
+            Column::Dense(values) => values.clone(),
         }
     }
 
-    /// The single `(config, destination)` pair shared by *all* `n` neurons,
-    /// if the table is provably uniform.
-    pub(super) fn fully_uniform(&self, n: usize) -> Option<&(NeuronConfig, Destination)> {
+    /// The single value shared by *all* `n` neurons, if the column is a
+    /// provably uniform run.
+    pub(super) fn uniform(&self, n: usize) -> Option<&T> {
         match self {
-            NeuronTable::Uniform {
+            Column::Run {
                 front,
                 back,
                 programmed,
             } => {
-                if *programmed == n || **front == **back {
+                if *programmed == n || front == back {
                     Some(front)
                 } else if *programmed == 0 {
                     Some(back)
@@ -202,7 +210,16 @@ impl NeuronTable {
                     None
                 }
             }
-            NeuronTable::Dense { .. } => None,
+            Column::Dense(_) => None,
+        }
+    }
+
+    /// The column as a core's parameter table: a uniform run is stored
+    /// once as it is, anything else is expanded and collapsed.
+    pub(super) fn store(&self, n: usize) -> ParamStore<T> {
+        match self.uniform(n) {
+            Some(value) => ParamStore::Uniform(value.clone()),
+            None => ParamStore::collapse(self.expanded(n)),
         }
     }
 }

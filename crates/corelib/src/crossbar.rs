@@ -13,12 +13,13 @@ static ZERO_ROW: [u64; 64] = [0; 64];
 /// A full-silicon chip holds 4096 crossbars of 8 KiB each (~268M potential
 /// synapses), but a sparse workload programs a few percent of them. Storage
 /// starts [`Storage::Empty`] (every row reads as zeros from a static slice),
-/// becomes [`Storage::Owned`] on the first programmed synapse, and the chip
-/// builder re-homes built cores into one contiguous [`Storage::Shared`]
-/// arena so the tick path walks packed words in placement order instead of
-/// chasing thousands of scattered `Vec` allocations. Shared storage is
-/// copy-on-write: a post-build mutation (fault burn-in, checkpoint restore)
-/// detaches the core back to an owned copy.
+/// becomes [`Storage::Owned`] on the first programmed synapse in a core
+/// builder, and every built (or restored) programmed core reads its words
+/// from a [`Storage::Shared`] window of one contiguous chip-level arena
+/// ([`Crossbar::in_arena`]), so the tick path walks packed words in
+/// placement order instead of chasing thousands of scattered `Vec`
+/// allocations. Shared storage is copy-on-write: a post-build mutation
+/// (fault burn-in) detaches the core back to an owned copy.
 #[derive(Debug, Clone)]
 enum Storage {
     /// No backing words; all rows read as zeros.
@@ -131,28 +132,49 @@ impl Crossbar {
         &mut self.row_counts
     }
 
-    /// Re-homes the packed words into a shared arena window.
+    /// A crossbar that reads its words from the window
+    /// `arena[offset..offset + axons * neurons.div_ceil(64)]`, row-major, as
+    /// the chip's arena writer wrote them there: the words are never copied
+    /// again, and the popcount caches are counted from the window.
     ///
-    /// The caller (the chip builder) must have copied this crossbar's words
-    /// to `arena[offset..offset + axons * words_per_row]` verbatim; the
-    /// crossbar then drops its private allocation and reads from the arena
-    /// until the next mutation detaches it again.
-    pub fn adopt_arena(&mut self, arena: Arc<[u64]>, offset: usize) {
-        debug_assert!(offset + self.axons * self.words_per_row <= arena.len());
-        debug_assert!(
-            (0..self.axons).all(|a| *self.row_words(a)
-                == arena[offset + a * self.words_per_row..offset + (a + 1) * self.words_per_row]),
-            "arena window must hold this crossbar's exact bits"
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or the window runs past the
+    /// arena.
+    pub(crate) fn in_arena(
+        axons: usize,
+        neurons: usize,
+        arena: Arc<[u64]>,
+        offset: usize,
+    ) -> Crossbar {
+        assert!(
+            axons > 0 && neurons > 0,
+            "crossbar dimensions must be non-zero"
         );
-        self.bits = Storage::Shared { arena, offset };
+        let words_per_row = neurons.div_ceil(64);
+        let window = &arena[offset..offset + axons * words_per_row];
+        let row_counts: Vec<u32> = window
+            .chunks_exact(words_per_row)
+            .map(|row| row.iter().map(|w| w.count_ones()).sum())
+            .collect();
+        let total = row_counts.iter().map(|&c| u64::from(c)).sum();
+        Crossbar {
+            axons,
+            neurons,
+            words_per_row,
+            bits: Storage::Shared { arena, offset },
+            row_counts,
+            total,
+        }
     }
 
-    /// Number of backing words this crossbar privately owns (0 when empty
-    /// or arena-shared). The builder uses this to size the arena.
-    pub fn owned_words(&self) -> usize {
+    /// The words this crossbar privately owns, row-major (empty when the
+    /// crossbar is empty or reads an arena window). The chip builder sizes
+    /// its arena from these and copies them in, once.
+    pub fn owned_words(&self) -> &[u64] {
         match &self.bits {
-            Storage::Owned(words) => words.len(),
-            _ => 0,
+            Storage::Owned(words) => words,
+            _ => &[],
         }
     }
 
@@ -413,7 +435,7 @@ mod tests {
     #[test]
     fn empty_crossbar_allocates_no_words() {
         let xb = Crossbar::new(256, 256);
-        assert_eq!(xb.owned_words(), 0);
+        assert!(xb.owned_words().is_empty());
         // Reads, redundant clears, and zero-word stores must all stay
         // storage-free.
         assert!(!xb.get(255, 255));
@@ -422,10 +444,10 @@ mod tests {
         let mut xb = xb;
         xb.set(3, 3, false);
         xb.set_row_word(2, 1, 0);
-        assert_eq!(xb.owned_words(), 0);
+        assert!(xb.owned_words().is_empty());
         // The first real synapse materialises the dense matrix.
         xb.set(3, 3, true);
-        assert_eq!(xb.owned_words(), 256 * 4);
+        assert_eq!(xb.owned_words().len(), 256 * 4);
         assert!(xb.get(3, 3));
     }
 
@@ -440,20 +462,22 @@ mod tests {
         let mut owned = Crossbar::new(4, 70);
         owned.set(1, 5, true);
         owned.set(3, 69, true);
-        let mut shared = owned.clone();
-        let words: Arc<[u64]> = (0..4)
-            .flat_map(|a| owned.row_words(a).to_vec())
-            .collect::<Vec<_>>()
-            .into();
-        shared.adopt_arena(words, 0);
-        assert_eq!(shared.owned_words(), 0);
+        // A window at a non-zero offset, behind another block's words.
+        let arena = [7, 7]
+            .into_iter()
+            .chain(owned.owned_words().iter().copied())
+            .collect();
+        let shared = Crossbar::in_arena(4, 70, arena, 2);
+        assert!(shared.owned_words().is_empty());
         assert_eq!(owned, shared);
+        assert_eq!(shared.row_popcount(1), 1);
+        assert_eq!(shared.synapse_count(), 2);
         assert!(shared.get(1, 5) && shared.get(3, 69));
         // Writing through shared storage detaches (copy-on-write) without
         // disturbing the original.
         let mut detached = shared.clone();
         detached.set(0, 0, true);
-        assert!(detached.owned_words() > 0);
+        assert!(!detached.owned_words().is_empty());
         assert!(detached.get(1, 5));
         assert_ne!(detached, owned);
         assert_eq!(shared, owned);
@@ -463,7 +487,7 @@ mod tests {
     fn oversized_rows_fall_back_to_dense() {
         // 65 words per row exceeds the static zero slice.
         let xb = Crossbar::new(2, 64 * 64 + 8);
-        assert!(xb.owned_words() > 0);
+        assert!(!xb.owned_words().is_empty());
         assert!(!xb.get(1, 64 * 64 + 7));
         assert_eq!(xb.row_words(1).len(), 65);
     }
