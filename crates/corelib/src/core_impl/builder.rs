@@ -11,7 +11,6 @@ use super::{CoreStats, DormantCore, EvalStrategy, NeurosynapticCore, SoaFastPath
 use crate::crossbar::Crossbar;
 use crate::scheduler::{Scheduler, SCHEDULER_SLOTS};
 use crate::spike::Destination;
-use crate::swar::SwarKernel;
 use crate::MAX_CORE_DIMENSION;
 
 /// Error from [`CoreBuilder`] configuration calls.
@@ -222,7 +221,6 @@ impl CoreBuilder {
             now: 0,
             stats: CoreStats::default(),
             counts: Vec::new(),
-            kernel: SwarKernel::new(n),
             bitmap: vec![0u64; self.axons.div_ceil(64)],
             soa: None,
             dormant,
