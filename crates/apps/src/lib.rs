@@ -4,6 +4,8 @@
 //! compile → chip → decode), mirroring the application classes the
 //! architecture's evaluation reports:
 //!
+//! * [`behavior`] — the canonical spiking-behaviour catalogue (figure
+//!   F1), each circuit built and run as a 1×1 chip.
 //! * [`digits`] — a procedurally generated 16×16 digit-glyph dataset. The
 //!   published evaluations use camera/MNIST-class data that is unavailable
 //!   offline; the synthetic glyphs exercise the identical code path and
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod behavior;
 pub mod classifier;
 pub mod coincidence;
 pub mod deep;

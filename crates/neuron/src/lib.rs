@@ -29,7 +29,9 @@
 //!
 //! A single parameterisation of this neuron, optionally combined with one or
 //! two helper neurons and axonal delays, reproduces the canonical set of
-//! biological spiking behaviours; see the [`behavior`] module.
+//! biological spiking behaviours; the catalogue runs each circuit on the
+//! production core, as `brainsim_apps::behavior` (it needs the core and the
+//! chip, which this crate sits below).
 //!
 //! ## Example
 //!
@@ -67,8 +69,6 @@ mod lfsr;
 mod neuron;
 mod weight;
 
-pub mod behavior;
-pub mod micro;
 pub mod presets;
 
 pub use config::{

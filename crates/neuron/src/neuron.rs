@@ -196,19 +196,21 @@ pub fn scalar_finish_tick(config: &NeuronConfig, potential: &mut i32, rng: &mut 
         // where sgn(0) = +1 keeps quiescent neurons biased by +λ only if
         // they sit exactly at 0; we use the mathematically cleaner sgn with
         // sgn(0) = 0 so resting neurons stay at rest).
+        // Widened as in `deterministic_tick`: `i32::MIN * -1` overflows.
         let direction = if config.leak_reversal {
-            config.leak * potential.signum()
+            i64::from(config.leak) * i64::from(potential.signum())
         } else {
-            config.leak
+            i64::from(config.leak)
         };
+        // |leak · sgn V| ≤ 2^31, so the draw's numerator fits `u32`.
         let delta = if !config.stochastic_leak {
             direction
-        } else if rng.bernoulli_256(direction.unsigned_abs()) {
+        } else if rng.bernoulli_256(direction.unsigned_abs() as u32) {
             direction.signum()
         } else {
             0
         };
-        *potential = saturate(i64::from(*potential) + i64::from(delta));
+        *potential = saturate(i64::from(*potential) + delta);
     }
 
     let alpha = i64::from(config.threshold);
@@ -231,7 +233,9 @@ pub fn scalar_finish_tick(config: &NeuronConfig, potential: &mut i32, rng: &mut 
     if i64::from(*potential) < -beta {
         *potential = match config.negative_mode {
             NegativeThresholdMode::Saturate => (-beta) as i32,
-            NegativeThresholdMode::Reset => -config.reset_potential,
+            // Negated in `i64` and narrowed as `deterministic_tick` does:
+            // `-i32::MIN` overflows.
+            NegativeThresholdMode::Reset => (-i64::from(config.reset_potential)) as i32,
         };
     }
     fired

@@ -1,7 +1,7 @@
 //! Canonical single-neuron parameterisations.
 //!
 //! These are the building-block configurations used throughout the behaviour
-//! catalogue ([`crate::behavior`]) and the application crates. Each function
+//! catalogue (`brainsim_apps::behavior`) and the application crates. Each function
 //! returns a validated [`NeuronConfig`].
 
 use crate::config::{NeuronConfig, ResetMode};

@@ -2,7 +2,7 @@
 //! reference for biological firing patterns.
 //!
 //! Included as a second baseline alongside the LIF simulator: the integer
-//! behaviour catalogue (`brainsim_neuron::behavior`) claims the silicon
+//! behaviour catalogue (`brainsim_apps::behavior`) claims the silicon
 //! neuron covers the canonical firing patterns; this module provides the
 //! continuous-dynamics reference those patterns are defined against.
 //!

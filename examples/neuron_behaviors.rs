@@ -1,11 +1,11 @@
 //! The neuron behaviour catalogue: one parameterised integer neuron (plus
 //! the occasional helper neuron and axonal delay) reproduces the canonical
-//! repertoire of biological spiking behaviours. Prints each behaviour's
-//! spike raster and measured signature.
+//! repertoire of biological spiking behaviours, each circuit run as a 1×1
+//! chip. Prints each behaviour's spike raster and measured signature.
 //!
 //! Run with: `cargo run --example neuron_behaviors`
 
-use brainsim::neuron::behavior;
+use brainsim::apps::behavior;
 
 fn main() {
     let results = behavior::run_all();

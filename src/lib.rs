@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`neuron`] | `brainsim-neuron` | augmented integer LIF neuron, LFSR, behaviour catalogue |
+//! | [`neuron`] | `brainsim-neuron` | augmented integer LIF neuron, LFSR, presets |
 //! | [`core`] | `brainsim-core` | crossbar, scheduler, the neurosynaptic core |
 //! | [`noc`] | `brainsim-noc` | spike packets, DOR mesh routers, saturation model |
 //! | [`chip`] | `brainsim-chip` | core array under the global tick barrier |
@@ -21,7 +21,7 @@
 //! | [`compiler`] | `brainsim-compiler` | placement/routing/typing toolchain + interpreter oracle |
 //! | [`snn`] | `brainsim-snn` | float LIF baseline + golden core |
 //! | [`encoding`] | `brainsim-encoding` | rate/latency/population codecs |
-//! | [`apps`] | `brainsim-apps` | classifier, edge filter bank, ITD estimator |
+//! | [`apps`] | `brainsim-apps` | behaviour catalogue, classifier, edge filter bank, ITD estimator |
 //! | [`telemetry`] | `brainsim-telemetry` | per-tick probes, ring sinks, JSONL exporter |
 //! | [`snapshot`] | `brainsim-snapshot` | crash-consistent checkpoint container, codecs, retention and the retry ladder |
 //! | [`recovery`] | `brainsim-recovery` | self-healing runtime: fault detection, re-placement, hot migration |

@@ -2,7 +2,7 @@
 //! the Izhikevich floating-point reference — both models must exhibit the
 //! same qualitative firing-pattern classes.
 
-use brainsim::neuron::behavior;
+use brainsim::apps::behavior;
 use brainsim::snn::{IzhikevichNeuron, IzhikevichParams};
 
 fn isis(raster: &[bool]) -> Vec<usize> {
