@@ -183,7 +183,7 @@ impl ChipBuilder {
 /// windows ([`brainsim_core::CoreBuilder::build_in`],
 /// [`NeurosynapticCore::import_state_in`]).
 ///
-/// Phase A evaluates cores in placement order — contiguous shards of the
+/// A tick evaluates cores in placement order — contiguous shards of the
 /// sorted active list — so a shard's synapse rows are a forward walk over
 /// adjacent memory instead of a pointer chase across per-core
 /// allocations. Shared by [`ChipBuilder::build`] and

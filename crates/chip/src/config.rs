@@ -28,11 +28,11 @@ pub struct ChipConfig {
     pub core_neurons: usize,
     /// Base LFSR seed; core `(x, y)` is seeded with a value derived from it.
     pub seed: u32,
-    /// Most shards each tick phase — Phase A (core evaluation) and Phase B
-    /// (spike routing) — is cut into, after clamping to the host's
-    /// available parallelism and to at least 1. One shard runs inline on
-    /// the ticking thread, more on scoped threads via
-    /// [`crate::run_shards`]; results are bit-identical at every count.
+    /// Most shards a tick's evaluation is cut into, after clamping to the
+    /// host's available parallelism and to at least 1. Each shard ticks its
+    /// cores and routes the spikes they fire. One shard runs inline on the
+    /// ticking thread, more on scoped threads via [`crate::run_shards`];
+    /// results are bit-identical at every count.
     pub threads: usize,
     /// Multi-chip tiling, if the grid spans several physical chips.
     pub tile: Option<TileConfig>,

@@ -15,9 +15,9 @@
 //!
 //! Functional routing: because in-tick network timing is unobservable under
 //! the barrier, the chip simulator delivers packets directly and charges
-//! `|dx| + |dy|` hops to the energy census ([`brainsim_noc::route_hops`]).
-//! Cycle-accurate contention studies use [`brainsim_noc::MeshNoc`] directly
-//! (figure F4).
+//! the `|dx| + |dy|` hops of dimension-order routing to the energy census.
+//! Cycle-accurate contention studies use the `brainsim-noc` crate's
+//! `MeshNoc` directly (figure F4); this crate does not depend on it.
 //!
 //! ## Example
 //!

@@ -14,9 +14,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// results.
 ///
 /// Callers keep an outcome independent of the item count by how they cut
-/// and merge: the tick's Phase A and Phase B cut contiguous shards and
-/// concatenate the results in item order; the serving fleet deals sessions
-/// round-robin into buckets and re-sorts the outcomes by slot.
+/// and merge: the tick cuts contiguous shards of its active cores, each
+/// evaluating and routing its own, and concatenates the results in item
+/// order; the serving fleet deals sessions round-robin into buckets and
+/// re-sorts the outcomes by slot; [`crate::CheckpointStore::write_all`]
+/// commits a round's checkpoints in contiguous runs and reads the results
+/// back in batch order.
 pub fn run_shards<I, R, F>(items: I, work: F) -> Vec<std::thread::Result<R>>
 where
     I: IntoIterator,

@@ -17,13 +17,11 @@
 //!   latency accrues, which is what the saturation experiment (figure F4)
 //!   measures.
 //!
-//! Two usage modes:
-//!
-//! * [`MeshNoc::cycle`] — cycle-accurate simulation with contention, for
-//!   latency/saturation studies;
-//! * [`route_hops`] — the closed-form hop count used by the functional chip
-//!   simulator, where the deterministic tick barrier makes in-tick network
-//!   timing unobservable.
+//! [`MeshNoc::cycle`] is a cycle-accurate simulation with contention, for
+//! latency/saturation studies. The functional chip simulator does not use
+//! this crate: under its deterministic tick barrier in-tick network timing
+//! is unobservable, so it charges each spike the closed-form `|dx| + |dy|`
+//! hops that DOR takes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,22 +37,3 @@ pub use router::{Flit, Port, Router, RoutingOrder, PORTS};
 
 // Re-export the fault vocabulary accepted by `MeshNoc::set_fault_injector`.
 pub use brainsim_faults::{FaultInjector, FaultPlan, FaultStats, OverflowPolicy};
-
-/// Closed-form number of mesh hops a packet with the given offset travels
-/// under dimension-order routing (one hop per traversed link; 0 for a
-/// core-local delivery).
-pub fn route_hops(dx: i32, dy: i32) -> u32 {
-    dx.unsigned_abs() + dy.unsigned_abs()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hops_is_manhattan_distance() {
-        assert_eq!(route_hops(0, 0), 0);
-        assert_eq!(route_hops(3, -2), 5);
-        assert_eq!(route_hops(-7, 7), 14);
-    }
-}

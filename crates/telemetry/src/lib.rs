@@ -32,8 +32,8 @@
 //! ## Determinism contract
 //!
 //! Telemetry is collected *inside* the deterministic tick pipeline: per-core
-//! records are concatenated in canonical core order from the Phase-A shard
-//! results, and every Phase-B counter (hops, crossings, histograms, fault
+//! records are concatenated in canonical core order from the tick's shard
+//! results, and every routing counter (hops, crossings, histograms, fault
 //! tallies) merges by order-independent sums. The record stream is therefore
 //! bit-identical at any thread count — the differential suite in
 //! `tests/parallel_equivalence.rs` asserts it.

@@ -1,6 +1,6 @@
 //! A steady-state tick allocates a bounded handful of times, not once per
-//! evaluated core: Phase A appends every core's spikes to one reusable
-//! buffer per shard, and the routing, wake and active-set buffers carry
+//! evaluated core: each shard reuses one fired list core by core and routes
+//! into its own tally, and the tallies, wake and active-set buffers carry
 //! over from tick to tick. A fresh chip's first ticks stay bounded too:
 //! phase 1 adds into each core's counter block and keeps no scratch of
 //! its own.
@@ -76,10 +76,10 @@ const WARMUP: u64 = 50;
 /// Ticks counted.
 const MEASURED: u64 = 200;
 /// The bound on allocations per tick, averaged over [`MEASURED`] ticks. A
-/// tick makes three: one result vector per phase and the summary's output
+/// tick makes two: the shards' result vector and the summary's output
 /// list. Allocating per evaluated core made 375 (`dense_8x8`) and 560
 /// (`nemo_64x64_edge`).
-const BOUND: f64 = 8.0;
+const BOUND: f64 = 2.0;
 
 /// The bound on allocations in each of a freshly built chip's first
 /// [`COLD`] ticks, while its cores wake and expand their per-neuron state.
