@@ -529,7 +529,11 @@ impl Chip {
             snapshot.cores.iter().map(block),
         );
         let mut cores = Vec::with_capacity(snapshot.cores.len());
-        // Each image is dropped once its core is imported.
+        // Each image is dropped once its core is imported. The cores' hot
+        // vectors are not repacked into placement order afterwards:
+        // alternating restore-then-tick pairs read the same step with and
+        // without a repack pass (DESIGN.md § *Memory layout & sparse
+        // residency*).
         for (i, (state, offset)) in snapshot.cores.into_iter().zip(offsets).enumerate() {
             let core = match offset {
                 Some(offset) => NeurosynapticCore::import_state_in(&state, arena.clone(), offset),
@@ -539,7 +543,6 @@ impl Chip {
             cores.push(core);
         }
         validate_wiring(&config, &cores).map_err(|e| RestoreError::Invalid(e.to_string()))?;
-        brainsim_core::repack_cores(&mut cores);
 
         let mut chip = Chip::from_parts(config, cores, false);
         chip.now = snapshot.now;

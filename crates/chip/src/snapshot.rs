@@ -758,8 +758,9 @@ mod tests {
         // patched to 1, is byte for byte what a writer configured with the
         // full sweep emitted.
         let mut b = crate::chip::tests::relay_builder(6, 1);
-        let mut production = b.build().expect("builds");
-        let mut sweep = b.sweep_reference().build().expect("builds");
+        let mut production = b.clone().build().expect("builds");
+        b.sweep_reference();
+        let mut sweep = b.build().expect("builds");
         for chip in [&mut production, &mut sweep] {
             chip.inject(0, 0, 0, 0).expect("inject");
             chip.inject(0, 0, 0, 4).expect("inject");

@@ -325,7 +325,7 @@ impl NeurosynapticCore {
                 crossbar
             }
         };
-        let mut core = b.build_with(crossbar);
+        let mut core = b.build_with(Some(crossbar));
         // Refill the scheduler ring slot by slot; `schedule_word` panics on
         // tail bits or bad word indices, both excluded above.
         for (s, slot) in state.scheduler_slots.chunks_exact(sched_words).enumerate() {

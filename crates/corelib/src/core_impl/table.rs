@@ -92,7 +92,8 @@ impl ParamStore<DeterministicParams> {
 /// config with a distinct destination per neuron: its destination column
 /// densifies while its config column stays one block, instead of 256
 /// copies of it (~9 KiB per full-size core), and [`CoreBuilder::build`]
-/// takes the core's uniform parameter table straight from the column.
+/// takes the core's uniform parameter table straight from the column and
+/// moves the dense destination column into the core.
 /// Sparse full-silicon workloads program thousands of structurally silent
 /// cores with the *same* config and destination for every neuron, in index
 /// order; both columns stay runs, and the core is a dormancy candidate.
@@ -171,25 +172,27 @@ impl<T: Clone + PartialEq> Column<T> {
                 }
                 return;
             }
-            *self = Column::Dense(self.expanded(n));
+            let run = std::mem::replace(self, Column::Dense(Vec::new()));
+            *self = Column::Dense(run.into_expanded(n));
         }
         if let Column::Dense(values) = self {
             values[index] = value;
         }
     }
 
-    /// Every neuron's value, one per neuron, for `n` neurons.
-    pub(super) fn expanded(&self, n: usize) -> Vec<T> {
+    /// Every neuron's value, one per neuron, for `n` neurons: a dense
+    /// column moves out as it is.
+    pub(super) fn into_expanded(self, n: usize) -> Vec<T> {
         match self {
             Column::Run {
                 front,
                 back,
                 programmed,
             } => (0..n)
-                .map(|i| if i < *programmed { front } else { back })
+                .map(|i| if i < programmed { &front } else { &back })
                 .cloned()
                 .collect(),
-            Column::Dense(values) => values.clone(),
+            Column::Dense(values) => values,
         }
     }
 
@@ -216,10 +219,10 @@ impl<T: Clone + PartialEq> Column<T> {
 
     /// The column as a core's parameter table: a uniform run is stored
     /// once as it is, anything else is expanded and collapsed.
-    pub(super) fn store(&self, n: usize) -> ParamStore<T> {
+    pub(super) fn into_store(self, n: usize) -> ParamStore<T> {
         match self.uniform(n) {
             Some(value) => ParamStore::Uniform(value.clone()),
-            None => ParamStore::collapse(self.expanded(n)),
+            None => ParamStore::collapse(self.into_expanded(n)),
         }
     }
 }

@@ -65,7 +65,7 @@ mod spike;
 mod swar;
 
 pub use core_impl::{
-    repack_cores, CoreBuildError, CoreBuilder, CoreDynamics, CoreFaultsState, CoreState,
+    CoreBuildError, CoreBuilder, CoreDynamics, CoreFaultsState, CoreScratch, CoreState,
     CoreStateError, CoreStats, EvalStrategy, NeurosynapticCore, TickEvents,
 };
 pub use crossbar::Crossbar;
