@@ -1,9 +1,9 @@
 //! The rate-coded digit classifier: float training → 4-level quantisation
 //! → chip deployment, with a floating-point LIF baseline.
 
+use crate::encoding::{Frame, FrameEncoder, RateCode};
 use brainsim_compiler::{compile, CompileOptions, CompiledNetwork};
 use brainsim_corelet::{Corelet, NodeRef};
-use brainsim_encoding::{Frame, FrameEncoder, RateCode};
 use brainsim_neuron::{Lfsr, NeuronConfig};
 use brainsim_snn::{LifParams, SnnBuilder, SnnNetwork, SnnSource};
 

@@ -9,9 +9,9 @@
 //! a multi-layer network: hidden-layer fan-out, inter-layer delays,
 //! splitter insertion and multi-core placement.
 
+use crate::encoding::{Frame, FrameEncoder};
 use brainsim_compiler::{compile, CompileError, CompileOptions, CompiledNetwork};
 use brainsim_corelet::{Corelet, NodeRef};
-use brainsim_encoding::{Frame, FrameEncoder};
 use brainsim_neuron::{Lfsr, NeuronConfig, ResetMode};
 
 use crate::classifier::{argmax, quantize_row};

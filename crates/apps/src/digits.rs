@@ -6,7 +6,7 @@
 //! probability, all driven by the deterministic LFSR so datasets are
 //! reproducible.
 
-use brainsim_encoding::Frame;
+use crate::encoding::Frame;
 use brainsim_neuron::Lfsr;
 
 /// Frame side length.

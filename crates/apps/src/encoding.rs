@@ -1,5 +1,3 @@
-//! # brainsim-encoding
-//!
 //! Spike codecs: the bridges between analogue values and the chip's binary,
 //! tick-quantised world.
 //!
@@ -19,8 +17,6 @@
 //! The [`aer`] module adds the address-event representation wire format
 //! for recording and replaying spike streams.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

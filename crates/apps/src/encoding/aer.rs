@@ -13,7 +13,7 @@
 //! ```
 //!
 //! ```
-//! use brainsim_encoding::aer::{self, AerEvent};
+//! use brainsim_apps::encoding::aer::{self, AerEvent};
 //!
 //! let events = vec![AerEvent { tick: 3, port: 9 }, AerEvent { tick: 7, port: 1 }];
 //! let bytes = aer::encode(&events).unwrap();

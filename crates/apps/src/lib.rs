@@ -4,6 +4,8 @@
 //! compile → chip → decode), mirroring the application classes the
 //! architecture's evaluation reports:
 //!
+//! * [`encoding`] — spike codecs (rate, time-to-spike, population, frame
+//!   encoders) and the [`encoding::aer`] address-event wire format.
 //! * [`behavior`] — the canonical spiking-behaviour catalogue (figure
 //!   F1), each circuit built and run as a 1×1 chip.
 //! * [`digits`] — a procedurally generated 16×16 digit-glyph dataset. The
@@ -35,4 +37,5 @@ pub mod coincidence;
 pub mod deep;
 pub mod digits;
 pub mod edge;
+pub mod encoding;
 pub mod motion;

@@ -7,14 +7,14 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use brainsim_core::{CoreState, CoreStats, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
+use brainsim_core::{CoreDynamics, CoreState, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
 use brainsim_energy::EventCensus;
 use brainsim_faults::{FaultInjector, FaultPlan, FaultStats};
 use brainsim_telemetry::{TelemetryConfig, TelemetryLog};
 
 use crate::builder::{validate_wiring, write_arena};
 use crate::config::ChipConfig;
-use crate::snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
+use crate::snapshot::{ChipDynamics, Snapshot, SnapshotDelta, TelemetrySnapshot};
 use brainsim_snapshot::{BaseRef, RestoreError};
 
 mod tick;
@@ -371,24 +371,16 @@ impl Chip {
     /// captured here.
     pub fn checkpoint(&self) -> Snapshot {
         Snapshot {
-            config: self.config,
-            now: self.now,
-            hops: self.hops,
-            link_crossings: self.link_crossings,
-            outputs_total: self.outputs_total,
-            fault_stats: self.fault_stats,
+            chip: self.chip_dynamics(),
             cores: self
                 .cores
                 .iter()
-                .map(|c| {
-                    let mut state = c.export_state();
-                    self.settle_lag(c, &mut state.now, &mut state.stats);
-                    state
+                .map(|c| CoreState {
+                    tables: c.export_tables(),
+                    dynamics: self.core_dynamics(c),
                 })
                 .collect(),
             plan: self.plan,
-            telemetry: self.telemetry_snapshot(),
-            app: Vec::new(),
         }
     }
 
@@ -401,44 +393,40 @@ impl Chip {
     pub fn checkpoint_delta(&self, base: BaseRef) -> SnapshotDelta {
         SnapshotDelta {
             base,
+            chip: self.chip_dynamics(),
+            cores: self.cores.iter().map(|c| self.core_dynamics(c)).collect(),
+        }
+    }
+
+    fn chip_dynamics(&self) -> ChipDynamics {
+        ChipDynamics {
             config: self.config,
             now: self.now,
             hops: self.hops,
             link_crossings: self.link_crossings,
             outputs_total: self.outputs_total,
             fault_stats: self.fault_stats,
-            cores: self
-                .cores
-                .iter()
-                .map(|c| {
-                    let mut d = c.export_dynamics();
-                    self.settle_lag(c, &mut d.now, &mut d.stats);
-                    d
-                })
-                .collect(),
-            telemetry: self.telemetry_snapshot(),
+            telemetry: self.telemetry.as_deref().map(|log| TelemetrySnapshot {
+                config: *log.config(),
+                evicted: log.evicted(),
+                summary: log.summary().clone(),
+            }),
             app: Vec::new(),
         }
     }
 
-    /// Virtualises core `c`'s deferred-skip lag in its captured clock and
-    /// statistics, so the image is bit-identical to one captured under
-    /// eager skipping (a lagging core is quiescent, so only the clock and
-    /// the skip accounting differ).
-    fn settle_lag(&self, c: &NeurosynapticCore, now: &mut u64, stats: &mut CoreStats) {
-        let lag = self.now.saturating_sub(*now);
+    /// Captures core `c`'s dynamics with its deferred-skip lag virtualised
+    /// in the clock and statistics, so the image is bit-identical to one
+    /// captured under eager skipping (a lagging core is quiescent, so only
+    /// the clock and the skip accounting differ).
+    fn core_dynamics(&self, c: &NeurosynapticCore) -> CoreDynamics {
+        let mut d = c.export_dynamics();
+        let lag = self.now.saturating_sub(d.now);
         if lag > 0 {
-            stats.merge(&c.noop_charge(lag));
-            *now = self.now;
+            d.stats.merge(&c.noop_charge(lag));
+            d.now = self.now;
         }
-    }
-
-    fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.telemetry.as_deref().map(|log| TelemetrySnapshot {
-            config: *log.config(),
-            evicted: log.evicted(),
-            summary: log.summary().clone(),
-        })
+        d
     }
 
     /// Rebuilds a chip from a [`Snapshot`], validating everything the
@@ -464,7 +452,12 @@ impl Chip {
     /// summary whose per-core vectors do not have one entry per core.
     /// Never panics.
     pub fn restore(snapshot: Snapshot) -> Result<Chip, RestoreError> {
-        let config = snapshot.config;
+        let Snapshot {
+            chip: dynamics,
+            cores: images,
+            plan,
+        } = snapshot;
+        let config = dynamics.config;
         if config.width == 0
             || config.height == 0
             || config.core_axons == 0
@@ -480,61 +473,55 @@ impl Chip {
         }
         // The grid comes from outside the program: a wrapped product could
         // agree with a short core list and index out of bounds later.
-        if config.width.checked_mul(config.height) != Some(snapshot.cores.len()) {
+        if config.width.checked_mul(config.height) != Some(images.len()) {
             return Err(RestoreError::Invalid(format!(
                 "snapshot has {} cores but the config's grid is {}x{}",
-                snapshot.cores.len(),
+                images.len(),
                 config.width,
                 config.height
             )));
         }
         let words_per_core = config.core_axons * config.core_neurons.div_ceil(64);
-        for (i, state) in snapshot.cores.iter().enumerate() {
-            if state.axons != config.core_axons || state.neurons != config.core_neurons {
+        for (i, state) in images.iter().enumerate() {
+            let (tables, d) = (&state.tables, &state.dynamics);
+            if tables.axons != config.core_axons || tables.neurons != config.core_neurons {
                 return Err(RestoreError::Invalid(format!(
                     "core {i} is {}x{} but the config says {}x{}",
-                    state.axons, state.neurons, config.core_axons, config.core_neurons
+                    tables.axons, tables.neurons, config.core_axons, config.core_neurons
                 )));
             }
-            if state.now != snapshot.now {
+            if d.now != dynamics.now {
                 return Err(RestoreError::Invalid(format!(
                     "core {i} clock is at tick {} but the chip is at tick {}",
-                    state.now, snapshot.now
+                    d.now, dynamics.now
                 )));
             }
             // Checked before the arena is sized or anything copied into it.
-            if state.crossbar_words.len() != words_per_core {
+            if tables.crossbar_words.len() != words_per_core {
                 return Err(RestoreError::Invalid(format!(
                     "core {i} has {} crossbar words but the config says {words_per_core}",
-                    state.crossbar_words.len()
+                    tables.crossbar_words.len()
                 )));
             }
         }
         // A core whose words are all zero takes no window and stays empty.
         fn block(state: &CoreState) -> &[u64] {
-            let words = &state.crossbar_words[..];
+            let words = &state.tables.crossbar_words[..];
             if words.iter().any(|&w| w != 0) {
                 words
             } else {
                 &[]
             }
         }
-        let programmed = snapshot
-            .cores
-            .iter()
-            .filter(|s| !block(s).is_empty())
-            .count();
-        let (arena, offsets) = write_arena(
-            programmed * words_per_core,
-            snapshot.cores.iter().map(block),
-        );
-        let mut cores = Vec::with_capacity(snapshot.cores.len());
+        let programmed = images.iter().filter(|s| !block(s).is_empty()).count();
+        let (arena, offsets) = write_arena(programmed * words_per_core, images.iter().map(block));
+        let mut cores = Vec::with_capacity(images.len());
         // Each image is dropped once its core is imported. The cores' hot
         // vectors are not repacked into placement order afterwards:
         // alternating restore-then-tick pairs read the same step with and
         // without a repack pass (DESIGN.md § *Memory layout & sparse
         // residency*).
-        for (i, (state, offset)) in snapshot.cores.into_iter().zip(offsets).enumerate() {
+        for (i, (state, offset)) in images.into_iter().zip(offsets).enumerate() {
             let core = match offset {
                 Some(offset) => NeurosynapticCore::import_state_in(&state, arena.clone(), offset),
                 None => NeurosynapticCore::import_state(&state),
@@ -545,12 +532,12 @@ impl Chip {
         validate_wiring(&config, &cores).map_err(|e| RestoreError::Invalid(e.to_string()))?;
 
         let mut chip = Chip::from_parts(config, cores, false);
-        chip.now = snapshot.now;
-        chip.hops = snapshot.hops;
-        chip.link_crossings = snapshot.link_crossings;
-        chip.outputs_total = snapshot.outputs_total;
-        chip.fault_stats = snapshot.fault_stats;
-        if let Some(plan) = snapshot.plan {
+        chip.now = dynamics.now;
+        chip.hops = dynamics.hops;
+        chip.link_crossings = dynamics.link_crossings;
+        chip.outputs_total = dynamics.outputs_total;
+        chip.fault_stats = dynamics.fault_stats;
+        if let Some(plan) = plan {
             // Re-arm only the link-fault injector; the snapshot's core
             // images already carry every structural fault, and re-burning
             // them would compound dropout/stuck faults.
@@ -560,7 +547,7 @@ impl Chip {
             }
             chip.plan = Some(plan);
         }
-        if let Some(t) = snapshot.telemetry {
+        if let Some(t) = dynamics.telemetry {
             // Core-detail ticks index both per-core vectors by core.
             let cores = chip.cores.len();
             if t.summary.core_spikes.len() != cores || t.summary.core_synaptic_events.len() != cores
@@ -1656,7 +1643,7 @@ pub(crate) mod tests {
         ));
 
         let mut skewed_clock = good.clone();
-        skewed_clock.cores[1].now += 1;
+        skewed_clock.cores[1].dynamics.now += 1;
         assert!(matches!(
             Chip::restore(skewed_clock),
             Err(RestoreError::Invalid(_))
@@ -1665,8 +1652,8 @@ pub(crate) mod tests {
         // width × height wraps to 0 == cores.len(): decoded from real
         // bytes, the grid must be rejected, not trusted.
         let mut wrapped_grid = good.clone();
-        wrapped_grid.config.width = 1 << 63;
-        wrapped_grid.config.height = 2;
+        wrapped_grid.chip.config.width = 1 << 63;
+        wrapped_grid.chip.config.height = 2;
         wrapped_grid.cores.clear();
         let wrapped_grid = Snapshot::from_bytes(&wrapped_grid.to_bytes()).expect("decodes");
         assert!(matches!(
@@ -1676,14 +1663,14 @@ pub(crate) mod tests {
 
         // A core image whose crossbar word count disagrees with the config
         // is refused before the arena is sized or anything copied from it.
-        let words = good.cores[1].crossbar_words.len();
+        let words = good.cores[1].tables.crossbar_words.len();
         for (case, len) in [
             ("one word short", words - 1),
             ("one word long", words + 1),
             ("far beyond the config", words * 4096),
         ] {
             let mut bad = good.clone();
-            bad.cores[1].crossbar_words.resize(len, 0);
+            bad.cores[1].tables.crossbar_words.resize(len, 0);
             let err = Chip::restore(bad).err();
             assert!(
                 matches!(&err, Some(RestoreError::Invalid(m)) if m.contains("crossbar words")),
@@ -1692,7 +1679,7 @@ pub(crate) mod tests {
         }
 
         let mut zero_dim = good;
-        zero_dim.config.width = 0;
+        zero_dim.chip.config.width = 0;
         assert!(matches!(
             Chip::restore(zero_dim),
             Err(RestoreError::Invalid(_))

@@ -67,7 +67,7 @@ pub use builder::{ChipBuildError, ChipBuilder};
 pub use chip::{Chip, InjectError, TickError, TickSummary};
 pub use config::{ChipConfig, TileConfig};
 pub use shards::run_shards;
-pub use snapshot::{Snapshot, SnapshotDelta, TelemetrySnapshot};
+pub use snapshot::{ChipDynamics, Snapshot, SnapshotDelta, TelemetrySnapshot};
 pub use store::{CheckpointStore, Restored, ResumeError};
 
 // The telemetry vocabulary used by `Chip::enable_telemetry`, re-exported so

@@ -8,6 +8,16 @@
 //! section container; [`crate::CheckpointStore`] adds crash-consistent
 //! file IO (write-temp → fsync → rename).
 //!
+//! What ticking changes and what only a fault plan changes are separate
+//! types at both levels: a core image is its [`brainsim_core::CoreTables`]
+//! beside its [`CoreDynamics`], and a snapshot and a delta share one
+//! [`ChipDynamics`]. A full checkpoint is its delta plus the tables:
+//!
+//! | type              | chip             | cores                  | plan           |
+//! |-------------------|------------------|------------------------|----------------|
+//! | [`Snapshot`]      | [`ChipDynamics`] | tables + dynamics each | fault plan     |
+//! | [`SnapshotDelta`] | [`ChipDynamics`] | dynamics each          | (in its base)  |
+//!
 //! Section layout (tags from [`SectionId`]):
 //!
 //! | section     | contents                                               |
@@ -19,8 +29,7 @@
 //! | `telemetry` | [`TelemetrySnapshot`]: config, evictions, run summary  |
 //! | `app`       | opaque harness payload, e.g. a running checksum        |
 //!
-//! A [`SnapshotDelta`] is the dynamic half of a snapshot, taken against a
-//! full one (its base). Its container has the sections `base` (the
+//! A [`SnapshotDelta`]'s container has the sections `base` (the
 //! [`BaseRef`], always first), `config`, `chip`, `dynamics` (one
 //! [`CoreDynamics`] per core, row-major), and `telemetry` and `app` as
 //! above. It has no `cores` or `faults` section: those tables change only
@@ -59,15 +68,13 @@ pub struct TelemetrySnapshot {
     pub summary: RunSummary,
 }
 
-/// A complete, typed image of chip state at a tick boundary.
-///
-/// Produced by [`crate::Chip::checkpoint`]; consumed by
-/// [`crate::Chip::restore`]. Restoring and continuing yields the
-/// bit-identical event stream an uninterrupted run produces, at any thread
-/// count, on the SWAR kernel or the scalar oracle.
+/// What a [`Snapshot`] and a [`SnapshotDelta`] both carry besides their
+/// core images: the chip's configuration, its counters at a tick boundary,
+/// and the telemetry and application images.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
+pub struct ChipDynamics {
     /// The chip configuration (restored verbatim, including thread count).
+    /// A delta's must equal its base's.
     pub config: ChipConfig,
     /// The next tick to evaluate.
     pub now: u64,
@@ -79,17 +86,30 @@ pub struct Snapshot {
     pub outputs_total: u64,
     /// Chip-level (routing) fault accounting.
     pub fault_stats: FaultStats,
+    /// Telemetry image, when telemetry was enabled.
+    pub telemetry: Option<TelemetrySnapshot>,
+    /// Opaque application payload (e.g. a harness's running output
+    /// checksum); empty when unused.
+    pub app: Vec<u8>,
+}
+
+/// A complete, typed image of chip state at a tick boundary: the chip's
+/// dynamics, every core's tables and dynamics, and the fault plan.
+///
+/// Produced by [`crate::Chip::checkpoint`]; consumed by
+/// [`crate::Chip::restore`]. Restoring and continuing yields the
+/// bit-identical event stream an uninterrupted run produces, at any thread
+/// count, on the SWAR kernel or the scalar oracle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Snapshot {
+    /// Configuration, counters, telemetry and application images.
+    pub chip: ChipDynamics,
     /// Per-core state images in row-major order.
     pub cores: Vec<CoreState>,
     /// The fault plan applied to the chip, if any. Restore re-arms the
     /// link-fault injector from it; structural faults are *not* re-applied
     /// (the burned crossbars and core fault images already carry them).
     pub plan: Option<FaultPlan>,
-    /// Telemetry image, when telemetry was enabled.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// Opaque application payload (e.g. a harness's running output
-    /// checksum); empty when unused.
-    pub app: Vec<u8>,
 }
 
 /// The dynamic half of a [`Snapshot`], taken against a full snapshot of the
@@ -103,37 +123,10 @@ pub struct Snapshot {
 pub struct SnapshotDelta {
     /// The full checkpoint this delta was taken against.
     pub base: BaseRef,
-    /// The chip configuration, which must equal the base's.
-    pub config: ChipConfig,
-    /// The next tick to evaluate.
-    pub now: u64,
-    /// Total mesh hops charged so far.
-    pub hops: u64,
-    /// Total tile-boundary link crossings so far.
-    pub link_crossings: u64,
-    /// Total external output events so far.
-    pub outputs_total: u64,
-    /// Chip-level (routing) fault accounting.
-    pub fault_stats: FaultStats,
+    /// Configuration, counters, telemetry and application images.
+    pub chip: ChipDynamics,
     /// Per-core dynamic images in row-major order.
     pub cores: Vec<CoreDynamics>,
-    /// Telemetry image, when telemetry was enabled.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// Opaque application payload; empty when unused.
-    pub app: Vec<u8>,
-}
-
-/// What a snapshot and a delta both carry besides their core images, as
-/// decoded from either container.
-struct Common {
-    config: ChipConfig,
-    now: u64,
-    hops: u64,
-    link_crossings: u64,
-    outputs_total: u64,
-    fault_stats: FaultStats,
-    telemetry: Option<TelemetrySnapshot>,
-    app: Vec<u8>,
 }
 
 /// Decoded sections in file order, as `decode_container` yields them.
@@ -147,24 +140,65 @@ fn require<'a>(sections: &Sections<'a>, id: SectionId) -> Result<&'a [u8], Resto
     find(sections, id).ok_or(RestoreError::MissingSection { section: id })
 }
 
-impl Common {
-    fn decode(sections: &Sections<'_>) -> Result<Common, RestoreError> {
+/// Most bytes of a snapshot or a delta that scale with no vector: the
+/// header and six frames (108), config (64), chip counters (128), the core
+/// count (8), the fault plan (74) or base reference (12), and the telemetry
+/// image's fixed part (355), rounded up.
+const SNAPSHOT_FIXED_BYTES: usize = 1024;
+
+impl ChipDynamics {
+    /// An upper bound on the encoding's bytes beside `cores` bytes of core
+    /// images.
+    fn encoded_len_bound(&self, cores: usize) -> usize {
+        let telemetry = self.telemetry.as_ref().map_or(0, |t| {
+            8 * (t.summary.core_spikes.len() + t.summary.core_synaptic_events.len())
+        });
+        SNAPSHOT_FIXED_BYTES + cores + telemetry + self.app.len()
+    }
+
+    /// Writes the `config` and `chip` sections, then `cores`' sections,
+    /// then `telemetry` and `app` when present.
+    fn write_around(&self, c: &mut ContainerWriter, cores: impl FnOnce(&mut ContainerWriter)) {
+        c.section(SectionId::Config, |w| write_chip_config(w, &self.config));
+        c.section(SectionId::Chip, |w| {
+            w.u64(self.now);
+            w.u64(self.hops);
+            w.u64(self.link_crossings);
+            w.u64(self.outputs_total);
+            codec::write_fault_stats(w, &self.fault_stats);
+        });
+        cores(c);
+        if let Some(t) = &self.telemetry {
+            c.section(SectionId::Telemetry, |w| {
+                codec::write_telemetry_config(w, &t.config);
+                w.u64(t.evicted);
+                codec::write_run_summary(w, &t.summary);
+            });
+        }
+        if !self.app.is_empty() {
+            c.section(SectionId::App, |w| w.bytes(&self.app));
+        }
+    }
+
+    fn decode(sections: &Sections<'_>) -> Result<ChipDynamics, RestoreError> {
         let config = decode_section(
             SectionId::Config,
             require(sections, SectionId::Config)?,
             read_chip_config,
         )?;
-        let (now, hops, link_crossings, outputs_total, fault_stats) =
-            decode_section(SectionId::Chip, require(sections, SectionId::Chip)?, |r| {
-                Ok((
-                    r.u64()?,
-                    r.u64()?,
-                    r.u64()?,
-                    r.u64()?,
-                    codec::read_fault_stats(r)?,
-                ))
-            })?;
-        let telemetry = find(sections, SectionId::Telemetry)
+        let mut chip = decode_section(SectionId::Chip, require(sections, SectionId::Chip)?, |r| {
+            Ok(ChipDynamics {
+                config,
+                now: r.u64()?,
+                hops: r.u64()?,
+                link_crossings: r.u64()?,
+                outputs_total: r.u64()?,
+                fault_stats: codec::read_fault_stats(r)?,
+                telemetry: None,
+                app: Vec::new(),
+            })
+        })?;
+        chip.telemetry = find(sections, SectionId::Telemetry)
             .map(|p| {
                 decode_section(SectionId::Telemetry, p, |r| {
                     Ok(TelemetrySnapshot {
@@ -175,42 +209,11 @@ impl Common {
                 })
             })
             .transpose()?;
-        Ok(Common {
-            config,
-            now,
-            hops,
-            link_crossings,
-            outputs_total,
-            fault_stats,
-            telemetry,
-            app: find(sections, SectionId::App)
-                .map(<[u8]>::to_vec)
-                .unwrap_or_default(),
-        })
+        if let Some(app) = find(sections, SectionId::App) {
+            chip.app = app.to_vec();
+        }
+        Ok(chip)
     }
-}
-
-/// Writes the `chip` section: tick cursor, counters, routing faults.
-fn write_chip_counters(
-    w: &mut Writer,
-    now: u64,
-    hops: u64,
-    link_crossings: u64,
-    outputs_total: u64,
-    fault_stats: &FaultStats,
-) {
-    w.u64(now);
-    w.u64(hops);
-    w.u64(link_crossings);
-    w.u64(outputs_total);
-    codec::write_fault_stats(w, fault_stats);
-}
-
-/// Writes the `telemetry` section.
-fn write_telemetry(w: &mut Writer, t: &TelemetrySnapshot) {
-    codec::write_telemetry_config(w, &t.config);
-    w.u64(t.evicted);
-    codec::write_run_summary(w, &t.summary);
 }
 
 fn write_chip_config(w: &mut Writer, c: &ChipConfig) {
@@ -286,56 +289,22 @@ fn decode_section<T>(
     Ok(value)
 }
 
-/// Most bytes of a snapshot or a delta that scale with no vector: the
-/// header and six frames (108), config (64), chip counters (128), the core
-/// count (8), the fault plan (74) or base reference (12), and the telemetry
-/// image's fixed part (355), rounded up.
-const SNAPSHOT_FIXED_BYTES: usize = 1024;
-
-/// The telemetry image's bytes beyond [`SNAPSHOT_FIXED_BYTES`].
-fn telemetry_len(telemetry: &Option<TelemetrySnapshot>) -> usize {
-    telemetry.as_ref().map_or(0, |t| {
-        8 * (t.summary.core_spikes.len() + t.summary.core_synaptic_events.len())
-    })
-}
-
 impl Snapshot {
-    /// An upper bound on the length of [`Snapshot::to_bytes`], from vector
-    /// lengths alone, so the encoder allocates its buffer once.
-    fn encoded_len_bound(&self) -> usize {
-        let cores: usize = self.cores.iter().map(codec::core_state_len_bound).sum();
-        SNAPSHOT_FIXED_BYTES + cores + telemetry_len(&self.telemetry) + self.app.len()
-    }
-
     /// Encodes the snapshot into the versioned, checksummed container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut c = ContainerWriter::with_capacity(self.encoded_len_bound());
-        c.section(SectionId::Config, |w| write_chip_config(w, &self.config));
-        c.section(SectionId::Chip, |w| {
-            write_chip_counters(
-                w,
-                self.now,
-                self.hops,
-                self.link_crossings,
-                self.outputs_total,
-                &self.fault_stats,
-            )
-        });
-        c.section(SectionId::Cores, |w| {
-            w.usize(self.cores.len());
-            for core in &self.cores {
-                codec::write_core_state(w, core);
+        let cores = self.cores.iter().map(codec::core_state_len_bound).sum();
+        let mut c = ContainerWriter::with_capacity(self.chip.encoded_len_bound(cores));
+        self.chip.write_around(&mut c, |c| {
+            c.section(SectionId::Cores, |w| {
+                w.usize(self.cores.len());
+                for core in &self.cores {
+                    codec::write_core_state(w, core);
+                }
+            });
+            if let Some(plan) = &self.plan {
+                c.section(SectionId::Faults, |w| codec::write_fault_plan(w, plan));
             }
         });
-        if let Some(plan) = &self.plan {
-            c.section(SectionId::Faults, |w| codec::write_fault_plan(w, plan));
-        }
-        if let Some(t) = &self.telemetry {
-            c.section(SectionId::Telemetry, |w| write_telemetry(w, t));
-        }
-        if !self.app.is_empty() {
-            c.section(SectionId::App, |w| w.bytes(&self.app));
-        }
         c.finish()
     }
 
@@ -353,7 +322,7 @@ impl Snapshot {
     }
 
     fn from_sections(sections: &Sections<'_>) -> Result<Snapshot, RestoreError> {
-        let common = Common::decode(sections)?;
+        let chip = ChipDynamics::decode(sections)?;
         let cores = decode_section(
             SectionId::Cores,
             require(sections, SectionId::Cores)?,
@@ -371,22 +340,11 @@ impl Snapshot {
         let plan = find(sections, SectionId::Faults)
             .map(|p| decode_section(SectionId::Faults, p, codec::read_fault_plan))
             .transpose()?;
-        Ok(Snapshot {
-            config: common.config,
-            now: common.now,
-            hops: common.hops,
-            link_crossings: common.link_crossings,
-            outputs_total: common.outputs_total,
-            fault_stats: common.fault_stats,
-            cores,
-            plan,
-            telemetry: common.telemetry,
-            app: common.app,
-        })
+        Ok(Snapshot { chip, cores, plan })
     }
 
     /// Brings this snapshot, the base `delta` was taken against, forward to
-    /// the delta: the tables stay, every dynamic field comes from `delta`.
+    /// the delta: the tables stay, every dynamic image comes from `delta`.
     ///
     /// # Errors
     ///
@@ -396,35 +354,29 @@ impl Snapshot {
     /// themselves are valid is for [`crate::Chip::restore`] to judge.
     pub fn apply_delta(mut self, delta: SnapshotDelta) -> Result<Snapshot, RestoreError> {
         let mismatch = |what| Err(RestoreError::BaseMismatch { what });
-        if delta.base.tick != self.now {
+        if delta.base.tick != self.chip.now {
             return mismatch("the base is not at the tick the delta names");
         }
-        if delta.now < self.now {
+        if delta.chip.now < self.chip.now {
             return mismatch("the delta is older than its base");
         }
-        if delta.config != self.config {
+        if delta.chip.config != self.chip.config {
             return mismatch("chip configuration");
         }
         if delta.cores.len() != self.cores.len() {
             return mismatch("core count");
         }
         let fits = |(state, d): (&CoreState, &CoreDynamics)| {
-            d.potentials.len() == state.potentials.len()
-                && d.scheduler_slots.len() == state.scheduler_slots.len()
+            d.potentials.len() == state.dynamics.potentials.len()
+                && d.scheduler_slots.len() == state.dynamics.scheduler_slots.len()
         };
         if !self.cores.iter().zip(&delta.cores).all(fits) {
             return mismatch("core shape");
         }
         for (state, d) in self.cores.iter_mut().zip(delta.cores) {
-            state.set_dynamics(d);
+            state.dynamics = d;
         }
-        self.now = delta.now;
-        self.hops = delta.hops;
-        self.link_crossings = delta.link_crossings;
-        self.outputs_total = delta.outputs_total;
-        self.fault_stats = delta.fault_stats;
-        self.telemetry = delta.telemetry;
-        self.app = delta.app;
+        self.chip = delta.chip;
         Ok(self)
     }
 }
@@ -433,33 +385,17 @@ impl SnapshotDelta {
     /// Encodes the delta into the versioned, checksummed container, its
     /// base reference first.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let cores: usize = self.cores.iter().map(codec::core_dynamics_len).sum();
-        let bound = SNAPSHOT_FIXED_BYTES + cores + telemetry_len(&self.telemetry) + self.app.len();
-        let mut c = ContainerWriter::with_capacity(bound);
+        let cores = self.cores.iter().map(codec::core_dynamics_len).sum();
+        let mut c = ContainerWriter::with_capacity(self.chip.encoded_len_bound(cores));
         c.section(SectionId::Base, |w| self.base.write(w));
-        c.section(SectionId::Config, |w| write_chip_config(w, &self.config));
-        c.section(SectionId::Chip, |w| {
-            write_chip_counters(
-                w,
-                self.now,
-                self.hops,
-                self.link_crossings,
-                self.outputs_total,
-                &self.fault_stats,
-            )
+        self.chip.write_around(&mut c, |c| {
+            c.section(SectionId::Dynamics, |w| {
+                w.usize(self.cores.len());
+                for core in &self.cores {
+                    codec::write_core_dynamics(w, core);
+                }
+            });
         });
-        c.section(SectionId::Dynamics, |w| {
-            w.usize(self.cores.len());
-            for core in &self.cores {
-                codec::write_core_dynamics(w, core);
-            }
-        });
-        if let Some(t) = &self.telemetry {
-            c.section(SectionId::Telemetry, |w| write_telemetry(w, t));
-        }
-        if !self.app.is_empty() {
-            c.section(SectionId::App, |w| w.bytes(&self.app));
-        }
         c.finish()
     }
 
@@ -489,7 +425,7 @@ impl SnapshotDelta {
                 });
             }
         }
-        let common = Common::decode(sections)?;
+        let chip = ChipDynamics::decode(sections)?;
         let cores = decode_section(
             SectionId::Dynamics,
             require(sections, SectionId::Dynamics)?,
@@ -503,18 +439,7 @@ impl SnapshotDelta {
                 Ok(cores)
             },
         )?;
-        Ok(SnapshotDelta {
-            base,
-            config: common.config,
-            now: common.now,
-            hops: common.hops,
-            link_crossings: common.link_crossings,
-            outputs_total: common.outputs_total,
-            fault_stats: common.fault_stats,
-            cores,
-            telemetry: common.telemetry,
-            app: common.app,
-        })
+        Ok(SnapshotDelta { base, chip, cores })
     }
 }
 
@@ -533,7 +458,7 @@ impl Checkpoint for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brainsim_core::EvalStrategy;
+    use brainsim_core::{CoreTables, EvalStrategy};
     use brainsim_snapshot::encode_container;
 
     /// Re-encodes `bytes` with `patch` applied to one section's payload
@@ -555,22 +480,24 @@ mod tests {
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
-            config: ChipConfig {
-                width: 2,
-                height: 1,
-                core_axons: 4,
-                core_neurons: 4,
-                ..ChipConfig::default()
+            chip: ChipDynamics {
+                config: ChipConfig {
+                    width: 2,
+                    height: 1,
+                    core_axons: 4,
+                    core_neurons: 4,
+                    ..ChipConfig::default()
+                },
+                now: 7,
+                hops: 11,
+                link_crossings: 0,
+                outputs_total: 3,
+                fault_stats: FaultStats::default(),
+                telemetry: None,
+                app: b"checksum".to_vec(),
             },
-            now: 7,
-            hops: 11,
-            link_crossings: 0,
-            outputs_total: 3,
-            fault_stats: FaultStats::default(),
             cores: Vec::new(),
             plan: Some(FaultPlan::new(9).with_link_drop(0.25)),
-            telemetry: None,
-            app: b"checksum".to_vec(),
         }
     }
 
@@ -601,10 +528,12 @@ mod tests {
         chip.inject(0, 0, 0, 0).expect("inject");
         chip.run(5);
         let mut snap = chip.checkpoint();
-        snap.app = vec![0xAB; 40];
-        assert!(snap.telemetry.is_some() && snap.cores.iter().any(|c| c.faults.is_some()));
+        snap.chip.app = vec![0xAB; 40];
+        assert!(snap.chip.telemetry.is_some());
+        assert!(snap.cores.iter().any(|c| c.tables.faults.is_some()));
         let bytes = snap.to_bytes();
-        assert!(bytes.len() <= snap.encoded_len_bound());
+        let cores = snap.cores.iter().map(codec::core_state_len_bound).sum();
+        assert!(bytes.len() <= snap.chip.encoded_len_bound(cores));
         assert_eq!(Snapshot::from_bytes(&bytes).expect("decode"), snap);
     }
 
@@ -635,12 +564,12 @@ mod tests {
     fn a_delta_brings_its_base_forward_to_the_full_checkpoint() {
         let (chip, base, id) = chip_past_its_base(4);
         let mut delta = chip.checkpoint_delta(id);
-        delta.app = b"checksum".to_vec();
+        delta.chip.app = b"checksum".to_vec();
         let bytes = delta.to_bytes();
         let decoded = SnapshotDelta::from_bytes(&bytes).expect("decodes");
         assert_eq!(decoded, delta);
         let mut full = chip.checkpoint();
-        full.app = delta.app.clone();
+        full.chip.app = delta.chip.app.clone();
         assert!(bytes.len() < full.to_bytes().len());
         assert_eq!(base.apply_delta(decoded), Ok(full));
     }
@@ -706,7 +635,7 @@ mod tests {
             mismatch("the base is not at the tick the delta names")
         );
         let mut rewound = delta.clone();
-        rewound.now = 2;
+        rewound.chip.now = 2;
         assert_eq!(
             base.clone().apply_delta(rewound),
             mismatch("the delta is older than its base")
@@ -826,7 +755,10 @@ mod tests {
             codec::write_core_state(
                 &mut w,
                 &CoreState {
-                    strategy,
+                    tables: CoreTables {
+                        strategy,
+                        ..snap.cores[0].tables.clone()
+                    },
                     ..snap.cores[0].clone()
                 },
             );

@@ -243,12 +243,12 @@ impl CheckpointStore {
         let bytes = match base {
             Some(base) => {
                 let mut delta = chip.checkpoint_delta(base);
-                delta.app = app.to_vec();
+                delta.chip.app = app.to_vec();
                 delta.to_bytes()
             }
             None => {
                 let mut snapshot = chip.checkpoint();
-                snapshot.app = app.to_vec();
+                snapshot.chip.app = app.to_vec();
                 snapshot.to_bytes()
             }
         };
@@ -295,7 +295,7 @@ impl CheckpointStore {
             None => Err(ResumeError::Empty),
             Some((tick, _)) if tick < floor => Err(ResumeError::BelowFloor { floor }),
             Some((tick, mut snapshot)) => {
-                let app = std::mem::take(&mut snapshot.app);
+                let app = std::mem::take(&mut snapshot.chip.app);
                 Chip::restore(snapshot)
                     .map(|chip| Restored { tick, chip, app })
                     .map_err(ResumeError::Chip)
@@ -490,7 +490,7 @@ mod tests {
         // cores' clocks disagree with the chip's) ends the walk, typed.
         save_atomic(&CheckpointPolicy::path_for(&dir, 8), b"noise").expect("save noise");
         let mut skewed = chip.checkpoint();
-        skewed.now += 1;
+        skewed.chip.now += 1;
         save_atomic(&CheckpointPolicy::path_for(&dir, 7), &skewed.to_bytes()).expect("save skewed");
         let (restored, skipped) = s.restore(0);
         assert!(matches!(

@@ -24,7 +24,7 @@ mod table;
 mod tick;
 
 pub use builder::{CoreBuildError, CoreBuilder};
-pub use state::{CoreDynamics, CoreFaultsState, CoreState, CoreStateError};
+pub use state::{CoreDynamics, CoreFaultsState, CoreState, CoreStateError, CoreTables};
 use table::ParamStore;
 pub use tick::{CoreScratch, TickEvents};
 
@@ -682,10 +682,10 @@ mod tests {
         };
         let mut core = build(0x5EED);
         let first = run(&mut core);
-        let stream = core.export_state().rng_state;
+        let stream = core.export_dynamics().rng_state;
         core.reset();
         assert_eq!(
-            core.export_state().rng_state,
+            core.export_dynamics().rng_state,
             stream,
             "reset keeps the LFSR"
         );

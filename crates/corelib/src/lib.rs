@@ -66,7 +66,7 @@ mod swar;
 
 pub use core_impl::{
     CoreBuildError, CoreBuilder, CoreDynamics, CoreFaultsState, CoreScratch, CoreState,
-    CoreStateError, CoreStats, EvalStrategy, NeurosynapticCore, TickEvents,
+    CoreStateError, CoreStats, CoreTables, EvalStrategy, NeurosynapticCore, TickEvents,
 };
 pub use crossbar::Crossbar;
 pub use scheduler::{Scheduler, SCHEDULER_SLOTS};

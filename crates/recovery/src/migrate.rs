@@ -11,9 +11,9 @@
 //! * **Unmoved cores** keep their old state verbatim, except that spike
 //!   destinations are taken from the repaired emission (a neighbour may
 //!   have moved) and the quiescence flag is dropped when they did.
-//! * **Migrated cores** take the repaired cell's static image (wiring,
+//! * **Migrated cores** take the repaired cell's tables (wiring,
 //!   crossbar and neuron-level damage of the *new* cell) and graft the
-//!   old dynamic state on top: membrane potentials, the delay-scheduler
+//!   old cell's dynamics on top: membrane potentials, the delay-scheduler
 //!   ring (slot indexing is absolute in the tick, and the core keeps its
 //!   clock, so the ring copies verbatim), the LFSR state and the
 //!   statistics — fault counters re-based from the condemned cell's
@@ -24,9 +24,9 @@
 //! In-flight spikes need no special channel: between ticks every pending
 //! event lives in some core's scheduler ring, so the graft carries them.
 
-use brainsim_chip::{Chip, Snapshot};
+use brainsim_chip::{Chip, ChipDynamics, Snapshot};
 use brainsim_compiler::{CoreMove, RepairedNetwork};
-use brainsim_core::CoreState;
+use brainsim_core::{CoreState, CoreTables};
 
 use crate::error::RecoveryError;
 
@@ -52,53 +52,52 @@ pub fn hot_migrate(old: &Chip, repaired: &mut RepairedNetwork) -> Result<(), Rec
         });
     }
 
-    let snapshot = old.checkpoint();
+    let Snapshot {
+        chip,
+        cores: old_cores,
+        plan,
+    } = old.checkpoint();
     // Burn the retained plan into the fresh chip: each cell — including
     // every migration destination — receives exactly the structural damage
     // the plan assigns to *that* cell. (The fresh chip has never had a
     // plan applied, so this cannot compound.)
-    if let Some(plan) = snapshot.plan {
+    if let Some(plan) = plan {
         repaired.compiled.chip_mut().set_fault_plan(&plan);
     }
-    let fresh = repaired.compiled.chip().checkpoint();
-    if fresh.cores.len() != snapshot.cores.len() {
+    let fresh = repaired.compiled.chip().checkpoint().cores;
+    if fresh.len() != old_cores.len() {
         return Err(RecoveryError::Migrate(format!(
             "repaired chip has {} cores, expected {}",
-            fresh.cores.len(),
-            snapshot.cores.len()
+            fresh.len(),
+            old_cores.len()
         )));
     }
 
     let width = new_cfg.width;
     let flat = |(x, y): (usize, usize)| y * width + x;
-    let mut source_of: Vec<Option<usize>> = vec![None; fresh.cores.len()];
-    let mut vacated: Vec<bool> = vec![false; fresh.cores.len()];
+    let mut source_of: Vec<Option<usize>> = vec![None; fresh.len()];
+    let mut vacated: Vec<bool> = vec![false; fresh.len()];
     for &CoreMove { from, to, .. } in &repaired.moves {
         source_of[flat(to)] = Some(flat(from));
         vacated[flat(from)] = true;
     }
 
-    let cores: Vec<CoreState> = (0..fresh.cores.len())
-        .map(|idx| {
-            let fresh_state = &fresh.cores[idx];
+    let cores = fresh
+        .into_iter()
+        .enumerate()
+        .map(|(idx, mut fresh)| {
             if let Some(src) = source_of[idx] {
-                graft(
-                    fresh_state,
-                    &snapshot.cores[src],
-                    &snapshot.cores[idx],
-                    snapshot.now,
-                )
+                graft(fresh.tables, &old_cores[src], &old_cores[idx])
             } else if vacated[idx] {
-                let mut state = fresh_state.clone();
-                state.now = snapshot.now;
-                state
+                fresh.dynamics.now = chip.now;
+                fresh
             } else {
-                let mut state = snapshot.cores[idx].clone();
-                if state.destinations != fresh_state.destinations {
-                    state.destinations = fresh_state.destinations.clone();
+                let mut state = old_cores[idx].clone();
+                if state.tables.destinations != fresh.tables.destinations {
+                    state.tables.destinations = fresh.tables.destinations;
                     // A re-pointed core must be re-evaluated: its proven
                     // quiescence predates the rewire.
-                    state.settled = false;
+                    state.dynamics.settled = false;
                 }
                 state
             }
@@ -106,16 +105,12 @@ pub fn hot_migrate(old: &Chip, repaired: &mut RepairedNetwork) -> Result<(), Rec
         .collect();
 
     let assembled = Snapshot {
-        config: new_cfg,
-        now: snapshot.now,
-        hops: snapshot.hops,
-        link_crossings: snapshot.link_crossings,
-        outputs_total: snapshot.outputs_total,
-        fault_stats: snapshot.fault_stats,
+        chip: ChipDynamics {
+            config: new_cfg,
+            ..chip
+        },
         cores,
-        plan: snapshot.plan,
-        telemetry: snapshot.telemetry,
-        app: snapshot.app,
+        plan,
     };
     let chip = Chip::restore(assembled)?;
     repaired
@@ -125,15 +120,12 @@ pub fn hot_migrate(old: &Chip, repaired: &mut RepairedNetwork) -> Result<(), Rec
     Ok(())
 }
 
-/// A migrated core's state: the new cell's static image with the old
-/// cell's dynamic state grafted on. `old_dest` is the destination cell's
-/// state in the *running* chip (the spare it used to be).
-fn graft(fresh: &CoreState, old: &CoreState, old_dest: &CoreState, now: u64) -> CoreState {
-    let mut state = fresh.clone();
-    state.potentials = old.potentials.clone();
-    state.scheduler_slots = old.scheduler_slots.clone();
-    state.rng_state = old.rng_state;
-    state.now = now;
+/// A migrated core's state: the new cell's `tables` with the old cell's
+/// dynamics grafted on. `old_dest` is the destination cell's state in the
+/// *running* chip (the spare it used to be). The old core's clock is the
+/// chip's: a checkpoint settles every core's lag.
+fn graft(tables: CoreTables, old: &CoreState, old_dest: &CoreState) -> CoreState {
+    let mut dynamics = old.dynamics.clone();
     // Chip-wide accounting must survive migration (the energy model reads
     // the census cumulatively): the incoming core's history — with its
     // fault counters re-based off the condemned cell's structural burn —
@@ -141,21 +133,21 @@ fn graft(fresh: &CoreState, old: &CoreState, old_dest: &CoreState, now: u64) -> 
     // cell. The destination's history already contains its own structural
     // burn, so the fresh chip's burn counters are NOT added again.
     let old_structural = old
+        .tables
         .faults
         .as_ref()
         .map(|f| f.structural)
         .unwrap_or_default();
-    let mut stats = old.stats;
+    let stats = &mut dynamics.stats;
     stats.faults = stats.faults.saturating_sub(&old_structural);
-    stats.merge(&old_dest.stats);
+    stats.merge(&old_dest.dynamics.stats);
     // `ticks` is a high-water mark (census takes the max across cores),
     // not additive work: two 50-tick histories at one cell are still a
     // 50-tick run.
-    stats.ticks = old.stats.ticks.max(old_dest.stats.ticks);
-    state.stats = stats;
+    stats.ticks = old.dynamics.stats.ticks.max(old_dest.dynamics.stats.ticks);
     // Never resume a migrated core as provably quiescent.
-    state.settled = false;
-    state
+    dynamics.settled = false;
+    CoreState { tables, dynamics }
 }
 
 #[cfg(test)]

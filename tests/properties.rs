@@ -585,7 +585,7 @@ fn sample_bytes(seed: u32, delta: bool) -> (Snapshot, Vec<u8>) {
     let id = BaseRef::of(chip.now(), &bytes);
     chip.run(8);
     let mut delta = chip.checkpoint_delta(id);
-    delta.app = b"checksum".to_vec();
+    delta.chip.app = b"checksum".to_vec();
     (base, delta.to_bytes())
 }
 

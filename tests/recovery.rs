@@ -35,12 +35,17 @@ const DEAD_RATE: f64 = 0.12;
 /// A relay chain of `n` threshold-1 neurons: input → n0 → n1 → … → out.
 /// With one packable slot per core it occupies exactly `n` cores.
 fn chain_net(n: usize) -> LogicalNetwork {
-    let mut c = Corelet::new("chain", 1);
     let t = NeuronConfig::builder()
         .threshold(1)
         .build()
         .expect("neuron config");
-    let pop = c.add_population(t, n);
+    chain_of(n, t)
+}
+
+/// A relay chain of `n` neurons of `config`, wired as [`chain_net`]'s.
+fn chain_of(n: usize, config: NeuronConfig) -> LogicalNetwork {
+    let mut c = Corelet::new("chain", 1);
+    let pop = c.add_population(config, n);
     c.connect(NodeRef::Input(0), pop[0], 1, 1).expect("connect");
     for w in pop.windows(2) {
         c.connect(NodeRef::Neuron(w[0]), w[1], 1, 2)
@@ -444,4 +449,45 @@ fn hot_migration_resumes_at_the_source_clock_with_an_identical_census() {
     assert!(source.census().spikes > 0, "the chain must be mid-activity");
     assert_eq!(migrated.now(), source.now());
     assert_eq!(migrated.census(), source.census());
+}
+
+#[test]
+fn a_migrated_stochastic_core_carries_its_own_lfsr_and_tables() {
+    // Every neuron draws a one-bit threshold mask from its core's LFSR each
+    // tick, so the run after a migration reproduces the unmigrated run
+    // only if the moved core keeps its own LFSR stream and takes its new
+    // cell's tables (the spare's own image would leave it disconnected).
+    let noisy = NeuronConfig::builder()
+        .threshold(1)
+        .threshold_mask_bits(1)
+        .build()
+        .expect("neuron config");
+    let net = chain_of(24, noisy);
+    let opts = options((6, 6), 1);
+    let mut source = compile(&net, &opts).expect("compile");
+    for t in 0..50 {
+        source.inject(0, t).expect("inject");
+        source.tick();
+    }
+    let map = source.network_map().clone();
+    let condemned = [map.positions[2]];
+    let mut repaired = repair(&net, &opts, &map, &condemned).expect("repair");
+    hot_migrate(source.chip(), &mut repaired).expect("migrate");
+    assert_eq!(repaired.moves.len(), 1);
+    let mut migrated = repaired.compiled;
+
+    let (mut expected, mut got) = (Vec::new(), Vec::new());
+    for t in 50..150 {
+        source.inject(0, t).expect("inject");
+        expected.push(source.tick());
+        migrated.inject(0, t).expect("inject");
+        got.push(migrated.tick());
+    }
+    let fired = expected.iter().filter(|outputs| outputs[0]).count();
+    assert!(0 < fired && fired < expected.len(), "the output is noisy");
+    assert_eq!(got, expected);
+    assert_eq!(
+        migrated.chip().census().spikes,
+        source.chip().census().spikes
+    );
 }
