@@ -1,7 +1,7 @@
 //! Regenerates every reconstructed table and figure of the evaluation.
 //!
 //! Usage: `cargo run --release -p brainsim-bench --bin figures [id...]`
-//! where `id` is one of `t1 f1 f2 f3 f4 f5 t2 f6 t3 f7 f8 ckpt` or `all`
+//! where `id` is one of `t1 f1 f2 f3 f4 f5 t2 f6 t3 f7 f8 ckpt route` or `all`
 //! (default). See DESIGN.md for the experiment index and EXPERIMENTS.md
 //! for recorded paper-vs-measured results.
 
@@ -18,8 +18,10 @@ use brainsim_apps::deep::{
 };
 use brainsim_apps::digits;
 use brainsim_apps::edge::{bar_frame, EdgeFilterBank, Orientation};
+use brainsim_bench::corpus::{self, build_workload};
+use brainsim_bench::sweep::lane_drive_seed;
 use brainsim_bench::{
-    compile_ring_of_blocks, drive_float_baseline, drive_random, hz_to_numerator,
+    compile_ring_of_blocks, drive_core, drive_float_baseline, drive_random, hz_to_numerator,
     program_relay_link, random_chip, random_float_baseline, run_unbarriered, RandomChipSpec,
 };
 use brainsim_chip::{run_shards, ChipBuilder, ChipConfig};
@@ -35,7 +37,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "t1", "f1", "f2", "f3", "f4", "f5", "t2", "f6", "t3", "f7", "f8", "ckpt",
+            "t1", "f1", "f2", "f3", "f4", "f5", "t2", "f6", "t3", "f7", "f8", "ckpt", "route",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -54,6 +56,7 @@ fn main() {
             "f7" => f7_mixed_workload(),
             "f8" => f8_multichip_tiling(),
             "ckpt" => ckpt_round_disk_time(),
+            "route" => route_bound_regime(),
             other => eprintln!("unknown experiment id: {other}"),
         }
         println!();
@@ -787,4 +790,62 @@ fn ckpt_round_disk_time() {
         println!("  {fan:<10} {m:>10.2} {:>9.2}x", one / m);
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// ROUTE — the route-bound corpus entries, where every neuron fires every
+/// tick and four edges in five leave their core. Times `Chip::tick` alone,
+/// the corpus drive outside the clock: the median tick of each of seven
+/// fresh constructions of 200 ticks, reported as the best and the median
+/// of the seven.
+fn route_bound_regime() {
+    header(
+        "ROUTE",
+        "route-bound regime: every neuron fires every tick, 80% of edges leave the core",
+    );
+    const ROUNDS: usize = 7;
+    const TICKS: u64 = 200;
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    println!(
+        "{:<26} {:>10} {:>12} {:>12} {:>12}",
+        "entry", "spikes/t", "best p50 us", "med p50 us", "ns/spike"
+    );
+    for name in ["nemo_route_8x4", "nemo_route_8x4_linkchaos"] {
+        let def = corpus::find(name).expect("corpus entry");
+        let mut p50s = Vec::with_capacity(ROUNDS);
+        let mut spikes = 0;
+        for _ in 0..ROUNDS {
+            let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+            if let Some(plan) = def.fault_plan() {
+                chip.set_fault_plan(&plan);
+            }
+            let mut noise = Lfsr::new(lane_drive_seed(&def, 0));
+            let mut steps = Vec::with_capacity(TICKS as usize);
+            spikes = 0;
+            for _ in 0..TICKS {
+                let t = chip.now();
+                for index in 0..def.structured() {
+                    let (x, y) = (index % def.width, index / def.width);
+                    drive_core(&mut chip, &mut noise, x, y, def.drive_rate, t);
+                }
+                let start = Instant::now();
+                spikes += chip.tick().spikes;
+                steps.push(start.elapsed().as_secs_f64() * 1e6);
+            }
+            p50s.push(median(steps));
+        }
+        let best = p50s.iter().copied().fold(f64::INFINITY, f64::min);
+        let per_tick = spikes as f64 / TICKS as f64;
+        println!(
+            "{:<26} {:>10.0} {:>12.1} {:>12.1} {:>12.1}",
+            name,
+            per_tick,
+            best,
+            median(p50s),
+            best * 1e3 / per_tick
+        );
+    }
+    println!("(p50 = median tick of one construction; one thread, default strategy.)");
 }

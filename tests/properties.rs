@@ -672,6 +672,7 @@ fn arb_workload_def() -> impl Strategy<Value = WorkloadDef> {
                 intra,
                 drive_rate,
                 island: None,
+                fire_every_tick: false,
                 ticks: 10,
                 overlay,
                 smoke: true,
