@@ -7,7 +7,10 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use brainsim_core::{CoreDynamics, CoreState, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION};
+use brainsim_core::{
+    CoreDynamics, CoreState, DeliverError, NeurosynapticCore, MAX_CORE_DIMENSION,
+    MAX_GRID_DIMENSION,
+};
 use brainsim_energy::EventCensus;
 use brainsim_faults::{FaultInjector, FaultPlan, FaultStats};
 use brainsim_telemetry::{TelemetryConfig, TelemetryLog};
@@ -19,7 +22,7 @@ use brainsim_snapshot::{BaseRef, RestoreError};
 
 mod tick;
 
-use tick::TickScratch;
+use tick::{ActiveSet, TickScratch};
 
 /// What happened during one chip tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,13 +174,13 @@ pub struct Chip {
     /// can be observed.
     effective_threads: usize,
     /// The incrementally maintained active set for the deferred-skip
-    /// scheduler (sorted flat core indices). `None` forces a full
-    /// quiescence scan on the next tick — the state after construction,
-    /// restore, reset, and fault-plan application. Quiescent cores outside
-    /// the set are left untouched (their clocks lag) and are bulk
-    /// fast-forwarded on wake, so idle silicon costs zero memory traffic
-    /// per tick instead of a header write per core.
-    active_set: Option<Vec<usize>>,
+    /// scheduler, one bit per core. Until it is exact — after
+    /// construction, restore, reset and fault-plan application — the next
+    /// tick runs a full quiescence scan. Quiescent cores outside the set
+    /// are left untouched (their clocks lag) and are bulk fast-forwarded on
+    /// wake, so idle silicon costs zero memory traffic per tick instead of
+    /// a header write per core.
+    active: ActiveSet,
     /// Test-only scheduler oracle: evaluate every core every tick instead
     /// of the active set. Set by [`crate::ChipBuilder::sweep_reference`],
     /// never serialised — a restored chip is always on the production
@@ -217,7 +220,7 @@ impl Chip {
             telemetry: None,
             plan: None,
             effective_threads,
-            active_set: None,
+            active: ActiveSet::default(),
             sweep_reference,
             generation: fresh_generation(),
             scratch: TickScratch::default(),
@@ -305,7 +308,7 @@ impl Chip {
         // deferred skips first, and rescan quiescence afterwards (a plan
         // can flip either way — dropout silences a core, stuck-firing
         // wakes one).
-        self.active_set = None;
+        self.active.invalidate();
         for (idx, core) in self.cores.iter_mut().enumerate() {
             Self::fast_forward(core, self.now);
             core.apply_faults(&injector, idx % self.config.width, idx / self.config.width);
@@ -465,6 +468,12 @@ impl Chip {
         {
             return Err(RestoreError::Invalid("zero chip dimension".to_string()));
         }
+        if config.width > MAX_GRID_DIMENSION || config.height > MAX_GRID_DIMENSION {
+            return Err(RestoreError::Invalid(format!(
+                "grid is {}x{}; a routed spike's landing reaches {MAX_GRID_DIMENSION}",
+                config.width, config.height
+            )));
+        }
         if config.core_axons > MAX_CORE_DIMENSION || config.core_neurons > MAX_CORE_DIMENSION {
             return Err(RestoreError::Invalid(format!(
                 "cores are {}x{}; the tick's u16 ids and counts reach {MAX_CORE_DIMENSION}",
@@ -605,9 +614,9 @@ impl Chip {
     }
 
     /// The wake protocol both injection forms share: replays the ticks
-    /// core `(x, y)` sat out, hands it to `deliver`, and registers it with
-    /// the cached active set, keeping the set sorted (with the cache
-    /// invalidated, the next tick's full scan finds the core).
+    /// core `(x, y)` sat out, hands it to `deliver`, and sets its bit in
+    /// the active set (until the set is exact, the next tick's full scan
+    /// finds the core).
     fn inject_with(
         &mut self,
         x: usize,
@@ -620,11 +629,7 @@ impl Chip {
         let idx = y * self.config.width + x;
         Self::fast_forward(&mut self.cores[idx], self.now);
         deliver(&mut self.cores[idx])?;
-        if let Some(set) = self.active_set.as_mut() {
-            if let Err(pos) = set.binary_search(&idx) {
-                set.insert(pos, idx);
-            }
-        }
+        self.active.wake(idx);
         Ok(())
     }
 
@@ -723,7 +728,7 @@ impl Chip {
         for core in &mut self.cores {
             core.reset();
         }
-        self.active_set = None;
+        self.active.invalidate();
         self.now = 0;
         self.hops = 0;
         self.link_crossings = 0;

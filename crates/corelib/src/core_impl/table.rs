@@ -3,7 +3,7 @@
 use brainsim_neuron::{scalar_quiescent, DeterministicParams, NeuronConfig};
 
 use super::EvalStrategy;
-use crate::spike::Destination;
+use crate::spike::RouteWord;
 
 /// One parameter block per neuron, with a uniform population stored once.
 ///
@@ -86,14 +86,14 @@ impl ParamStore<DeterministicParams> {
 }
 
 /// The builder's per-neuron programming table: the parameter blocks and
-/// the destinations, each its own [`Column`].
+/// the route words, each its own [`Column`].
 ///
 /// The columns compress independently. A structured core writes one shared
-/// config with a distinct destination per neuron: its destination column
+/// config with a distinct destination per neuron: its route column
 /// densifies while its config column stays one block, instead of 256
 /// copies of it (~9 KiB per full-size core), and [`CoreBuilder::build`]
 /// takes the core's uniform parameter table straight from the column and
-/// moves the dense destination column into the core.
+/// moves the dense route column into the core.
 /// Sparse full-silicon workloads program thousands of structurally silent
 /// cores with the *same* config and destination for every neuron, in index
 /// order; both columns stay runs, and the core is a dormancy candidate.
@@ -103,29 +103,23 @@ impl ParamStore<DeterministicParams> {
 pub(super) struct NeuronTable {
     /// Every neuron's parameter block.
     pub(super) configs: Column<NeuronConfig>,
-    /// Every neuron's spike destination.
-    pub(super) destinations: Column<Destination>,
+    /// Every neuron's spike destination, compiled.
+    pub(super) routes: Column<RouteWord>,
 }
 
 impl NeuronTable {
-    /// Every neuron at the default config and [`Destination::Disabled`].
+    /// Every neuron at the default config and [`RouteWord::DISABLED`].
     pub(super) fn new() -> NeuronTable {
         NeuronTable {
             configs: Column::new(NeuronConfig::default()),
-            destinations: Column::new(Destination::Disabled),
+            routes: Column::new(RouteWord::DISABLED),
         }
     }
 
     /// Records one neuron programming of a core of `n` neurons.
-    pub(super) fn set(
-        &mut self,
-        index: usize,
-        config: NeuronConfig,
-        destination: Destination,
-        n: usize,
-    ) {
+    pub(super) fn set(&mut self, index: usize, config: NeuronConfig, route: RouteWord, n: usize) {
         self.configs.set(index, config, n);
-        self.destinations.set(index, destination, n);
+        self.routes.set(index, route, n);
     }
 }
 

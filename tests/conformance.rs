@@ -9,8 +9,8 @@
 //! so a regression in the kernel, the scheduler, the thread pipeline or
 //! telemetry fails here, naming its axis.
 //!
-//! Release builds run all eight entries, both 64×64 / 4096-core shapes
-//! included; debug builds run the two 8×8 `smoke` entries
+//! Release builds run all ten entries, both 64×64 / 4096-core shapes and
+//! the two route-bound `nemo_route_8x4` entries included; debug builds run the two 8×8 `smoke` entries
 //! (`corpus::test_defs`). To pin a new entry, add it with `checksum: None`
 //! and run `cargo test --release --test conformance`: the failure prints
 //! the value to paste.

@@ -21,7 +21,7 @@ const GRID: usize = 4;
 const FANIN: usize = 16;
 
 /// 2×2-core tiles: every tile-boundary crossing adds `link_latency` ticks
-/// of delivery delay, which `resolve_spike` adds as each shard routes its
+/// of delivery delay, which `route_faulted` adds as each shard routes its
 /// cores' spikes.
 const TILE: TileConfig = TileConfig {
     width: 2,
