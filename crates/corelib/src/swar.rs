@@ -361,6 +361,55 @@ mod tests {
     }
 
     #[test]
+    fn carry_save_matches_scalar_at_every_depth_and_half_edge() {
+        // Row counts 2^k − 1 and 2^k of one type, so the planes are every
+        // depth from 1 to 16, on rows whose words hold a sparse random
+        // background plus lanes 0, 31, 32, 33 and 63 (the edges of a word's
+        // two 32-lane halves) in patterns that differ lane from lane, word
+        // from word and half from half: a flush that weighs a plane wrong,
+        // swaps the halves or reads one edge lane for its neighbour moves
+        // a count.
+        let mut rng = 0xD1B5_4A32_D192_ED03_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let axons = crate::MAX_CORE_DIMENSION;
+        let mut xb = Crossbar::new(axons, CARRY_SAVE_NEURONS);
+        for a in 0..axons {
+            for w in 0..CARRY_SAVE_NEURONS / 64 {
+                let r = a + w;
+                let edges = [
+                    (0, true),
+                    (31, r % 3 != 1),
+                    (32, r % 2 == 1),
+                    (33, r % 3 == 0),
+                    (63, r % 4 != 3),
+                ];
+                let mut word = next() & next() & next();
+                for (lane, set) in edges {
+                    word = word & !(1 << lane) | u64::from(set) << lane;
+                }
+                xb.set_row_word(a, w, word);
+            }
+        }
+        let counts = (1..=16)
+            .map(|k| (1usize << k) - 1)
+            .chain((0..16).map(|k| 1usize << k));
+        for rows in counts {
+            let types = vec![rows % TYPES; axons];
+            let active: Vec<usize> = (0..rows).collect();
+            assert_eq!(
+                carry_save_counts(&xb, &types, &active),
+                scalar_counts(&xb, &types, &active),
+                "{rows} rows"
+            );
+        }
+    }
+
+    #[test]
     fn matches_scalar_on_ragged_width() {
         // 70 neurons: a full word plus a 6-bit tail.
         let mut xb = Crossbar::new(10, 70);
