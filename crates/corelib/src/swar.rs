@@ -230,20 +230,19 @@ pub fn carry_save_rows(plane: &mut [u16], words: &[u64], rows: &[u16]) -> u32 {
     for (k, bits) in planes.iter().enumerate() {
         events += bits.iter().map(|w| w.count_ones()).sum::<u32>() << k;
     }
-    // The flush: each byte of every plane selects its eight lanes from the
-    // table, shifted to the plane's weight; their sum is the eight
-    // neurons' counts, written once.
-    for (w, lanes) in plane.chunks_exact_mut(64).enumerate() {
-        for (j, eight) in lanes.chunks_exact_mut(8).enumerate() {
-            let mut counts = [0u16; 8];
-            for (k, bits) in planes.iter().enumerate() {
-                let byte = (bits[w] >> (8 * j)) as u8;
-                for (count, &bit) in counts.iter_mut().zip(&BYTE_LANES[usize::from(byte)]) {
-                    *count += bit << k;
-                }
+    // The flush: each 32-bit half of every plane word is a mask over 32
+    // neurons' counters, which add the plane's weight where it is set;
+    // their sum is the 32 neurons' counts, written once.
+    for (h, lanes) in plane.chunks_exact_mut(32).enumerate() {
+        let mut counts = [0u16; 32];
+        for (k, bits) in planes.iter().enumerate() {
+            let half = (bits[h / 2] >> (32 * (h % 2))) as u32;
+            let weight = 1 << k;
+            for (i, count) in counts.iter_mut().enumerate() {
+                *count += if half & (1 << i) != 0 { weight } else { 0 };
             }
-            eight.copy_from_slice(&counts);
         }
+        lanes.copy_from_slice(&counts);
     }
     events
 }
