@@ -14,19 +14,23 @@ use brainsim_neuron::{
 
 use super::{EvalStrategy, NeurosynapticCore};
 use crate::scheduler::bitmap_indices;
-use crate::swar::{carry_save_rows, integrate_row, CARRY_SAVE_NEURONS};
+use crate::swar::{carry_save_rows, integrate_row, CARRY_SAVE_MAX_NEURONS};
 
 /// Phase 1 sums a core's due rows type by type in carry-save bit planes
-/// ([`carry_save_rows`]) when the core is [`CARRY_SAVE_NEURONS`] wide and
-/// at least this many axons are due; every other `Swar` tick adds row by
-/// row ([`integrate_row`]). The carry-save sum pays a fixed adder tree per
-/// group of eight rows and one flush per type, which many rows share. In
-/// isolation it takes 0.19–0.30× the lane adds' time at 230 due rows
-/// (`dense_8x8`'s cores), breaks even near 32 and takes 2.4–2.7× at 8
-/// (`nemo_64x64_full`'s cores, whose phase 1 waits on row misses and
-/// keeps the touch). EXPERIMENTS.md § *Carry-save phase 1* has the kernel
-/// table and the gate sweep.
-const CARRY_SAVE_MIN_DUE_ROWS: usize = 32;
+/// ([`carry_save_rows`]) when the core's width is a multiple of 64 up to
+/// [`CARRY_SAVE_MAX_NEURONS`] and at least this many axons are due; every
+/// other `Swar` tick adds row by row ([`integrate_row`]). The sum pays a
+/// fixed adder tree per group of eight rows and one flush per type, which
+/// many rows share; its flush adds each plane's weight under a mask. Timed
+/// through the tick with its rows in cache (`figures phase1`), a 256-neuron
+/// core's phase 1 takes 0.35× the lane adds' time at 230 due rows and
+/// 0.6× at 16–32, breaks even near 10, and takes 1.1–1.4× at 4–8; 64-,
+/// 128- and 192-neuron cores break even at 8–12 too. 12 would pay in
+/// cache, but `nemo_64x64_full`'s cores (~8 due rows, whose rows miss the
+/// cache and need the lane adds' touch) read +5.5 % end to end under it,
+/// and within their spread under 16. EXPERIMENTS.md § *Carry-save flush by
+/// mask* has the sweep.
+const CARRY_SAVE_MIN_DUE_ROWS: usize = 16;
 
 /// A core that stays on the lane adds touches its due rows before adding
 /// them ([`NeurosynapticCore::touch_rows`]) only if it is at least this
@@ -42,7 +46,9 @@ const TOUCH_MIN_NEURONS: usize = 256;
 /// cache, and a touch pass over them is pure overhead. `nemo_64x64_full`'s
 /// cores, whose rows miss, have ~8 due rows. A core the carry-save sum
 /// takes is not touched: it loads eight rows at a time, whose misses
-/// overlap without help.
+/// overlap without help. So on a 256-neuron core the touch now covers 1
+/// to 15 due rows, below [`CARRY_SAVE_MIN_DUE_ROWS`]; this bound holds for
+/// the wider cores the sum does not take.
 const TOUCH_MAX_DUE_ROWS: usize = 64;
 
 /// The events one evaluated tick consumed: what
@@ -180,7 +186,8 @@ impl NeurosynapticCore {
     ) -> TickEvents {
         let n = self.n_neurons;
         let mut events = TickEvents::default();
-        let carry_save = n == CARRY_SAVE_NEURONS && due >= CARRY_SAVE_MIN_DUE_ROWS;
+        let carry_save =
+            n.is_multiple_of(64) && n <= CARRY_SAVE_MAX_NEURONS && due >= CARRY_SAVE_MIN_DUE_ROWS;
         match (self.strategy, self.crossbar.words()) {
             (EvalStrategy::Sparse, _) => {
                 counts.fill(0);
@@ -544,12 +551,16 @@ mod tests {
     fn swar_agrees_with_the_oracle_on_both_sides_of_the_touch_gate() {
         // Each case drives a `Swar` core and its `Sparse` twin with the same
         // random due axons, cycling through its due counts, and says whether
-        // phase 1 touches those rows before adding them.
+        // phase 1 touches those rows before adding them. A 256-neuron core
+        // is touched below the carry-save gate; a 320-neuron core, which
+        // the sum does not take, up to the touch gate's bound.
         let max = TOUCH_MAX_DUE_ROWS;
-        let cases: [(usize, u64, &[usize], bool); 4] = [
-            (256, 16, &[1, 8, 40, max - 1, max], true),
-            (256, 128, &[1, 8, 40, max - 1, max], true),
-            (256, 16, &[max + 1, 2 * max, 256], false),
+        let below_sum = CARRY_SAVE_MIN_DUE_ROWS - 1;
+        let cases: [(usize, u64, &[usize], bool); 5] = [
+            (256, 16, &[1, 8, below_sum], true),
+            (256, 128, &[1, 8, below_sum], true),
+            (320, 16, &[1, 8, 40, max - 1, max], true),
+            (320, 16, &[max + 1, 2 * max, 320], false),
             (70, 64, &[1, 8, 69, 70], false),
         ];
         for (neurons, density, due_counts, touched) in cases {
@@ -559,8 +570,11 @@ mod tests {
             let mut axons: Vec<usize> = (0..neurons).collect();
             for t in 0..40 {
                 let due = due_counts[t as usize % due_counts.len()];
+                let summed = neurons.is_multiple_of(64)
+                    && neurons <= CARRY_SAVE_MAX_NEURONS
+                    && due >= CARRY_SAVE_MIN_DUE_ROWS;
                 assert_eq!(
-                    neurons >= TOUCH_MIN_NEURONS && due <= TOUCH_MAX_DUE_ROWS,
+                    !summed && neurons >= TOUCH_MIN_NEURONS && due <= TOUCH_MAX_DUE_ROWS,
                     touched
                 );
                 // The first `due` entries of a partial Fisher–Yates shuffle.
@@ -597,11 +611,12 @@ mod tests {
         // 8k + 1 rows sit on both sides of a group of eight; one type
         // carrying every row makes its planes the deepest the core allows.
         // A density-0 core has no crossbar storage and stays on the lane
-        // adds; 1/256 leaves most rows empty, 256/256 fills them.
+        // adds; 1/256 leaves most rows empty, 256/256 fills them. The sum
+        // takes the 256-, 192-, 128- and 64-neuron cores, not the 255.
         let gate = CARRY_SAVE_MIN_DUE_ROWS;
         let spread = [15, 16, 17, 55, 56, 57, 64].map(Due::Spread);
         let around_gate = [gate - 1, gate, gate + 1, 100, 256].map(Due::Any);
-        let cases: [(usize, u64, &[Due]); 8] = [
+        let cases: [(usize, u64, &[Due]); 10] = [
             (256, 0, &spread),
             (256, 1, &spread),
             (256, 128, &spread),
@@ -613,7 +628,13 @@ mod tests {
                 &[Due::OneType(gate), Due::OneType(64), Due::Any(8)],
             ),
             (255, 128, &around_gate),
-            (192, 256, &[Due::Any(gate), Due::Any(192)]),
+            (
+                192,
+                256,
+                &[Due::Any(gate - 1), Due::Any(gate), Due::Any(192)],
+            ),
+            (128, 128, &around_gate),
+            (64, 16, &around_gate),
         ];
         let mut summed = [0; 2];
         for (neurons, density, due_sets) in cases {
@@ -643,7 +664,10 @@ mod tests {
                         all
                     }
                 };
-                let takes = neurons == CARRY_SAVE_NEURONS && axons.len() >= gate && density > 0;
+                let takes = neurons.is_multiple_of(64)
+                    && neurons <= CARRY_SAVE_MAX_NEURONS
+                    && axons.len() >= gate
+                    && density > 0;
                 summed[usize::from(takes)] += 1;
                 for &a in &axons {
                     swar.deliver(a, t).unwrap();

@@ -24,9 +24,9 @@
 //! There is one production kernel, the word-parallel
 //! [`EvalStrategy::Swar`] (each due crossbar row added straight into the
 //! per-type `u16` counters by [`integrate_row`], eight lanes per vector
-//! add, or, on a hard-driven 256-neuron core, each type's due rows summed
-//! in carry-save bit planes by `carry_save_rows`; plus a struct-of-arrays
-//! fast path for fully deterministic cores),
+//! add, or, on a hard-driven core up to 256 neurons wide, each type's due
+//! rows summed in carry-save bit planes by `carry_save_rows`; plus a
+//! struct-of-arrays fast path for fully deterministic cores),
 //! and one scalar oracle, [`EvalStrategy::Sparse`], which tests select at
 //! construction. The two are bit-identical by
 //! construction (property tested), mirroring the one-to-one equivalence
