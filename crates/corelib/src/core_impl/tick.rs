@@ -18,19 +18,37 @@ use crate::swar::{carry_save_rows, integrate_row, CARRY_SAVE_MAX_NEURONS};
 
 /// Phase 1 sums a core's due rows type by type in carry-save bit planes
 /// ([`carry_save_rows`]) when the core's width is a multiple of 64 up to
-/// [`CARRY_SAVE_MAX_NEURONS`] and at least this many axons are due; every
-/// other `Swar` tick adds row by row ([`integrate_row`]). The sum pays a
-/// fixed adder tree per group of eight rows and one flush per type, which
-/// many rows share; its flush adds each plane's weight under a mask. Timed
-/// through the tick with its rows in cache (`figures phase1`), a 256-neuron
-/// core's phase 1 takes 0.35× the lane adds' time at 230 due rows and
-/// 0.6× at 16–32, breaks even near 10, and takes 1.1–1.4× at 4–8; 64-,
-/// 128- and 192-neuron cores break even at 8–12 too. 12 would pay in
-/// cache, but `nemo_64x64_full`'s cores (~8 due rows, whose rows miss the
-/// cache and need the lane adds' touch) read +5.5 % end to end under it,
-/// and within their spread under 16. EXPERIMENTS.md § *Carry-save flush by
+/// [`CARRY_SAVE_MAX_NEURONS`] and at least this many axons are due (at
+/// least [`CARRY_SAVE_MIN_DUE_ROWS_TOUCHED`] on a core the row touch
+/// could take); every other `Swar` tick adds row by row
+/// ([`integrate_row`]). The sum pays a fixed adder tree per group of eight
+/// rows and one flush per type, which many rows share; its flush adds each
+/// plane's weight under a mask. Timed through the tick with its rows in
+/// cache (`figures phase1`), phase 1 of a core 64 to 256 neurons wide
+/// breaks even with the lane adds at 8–12 due rows, takes 0.55–0.75× their
+/// time at 16 and 0.3–0.45× at 230. EXPERIMENTS.md § *Carry-save flush by
 /// mask* has the sweep.
 const CARRY_SAVE_MIN_DUE_ROWS: usize = 16;
+
+/// The carry-save gate of a core at least [`TOUCH_MIN_NEURONS`] wide. Such
+/// a core with few due rows may be one whose rows miss the cache
+/// (`nemo_64x64_full`'s, ~8 due rows), where the lane adds overlap the
+/// misses with the row touch and the sum does not. End to end, a gate of
+/// 12 read +5.5 % on `nemo_64x64_full` and 16 read +2–4 %; 24 stays
+/// within its spread, and `nemo_64x64_edge` (~41 due rows) keeps nearly
+/// all of its gain.
+const CARRY_SAVE_MIN_DUE_ROWS_TOUCHED: usize = 24;
+
+/// Whether phase 1 of an `n`-neuron core with `due` due rows takes the
+/// carry-save sum (given crossbar storage to read).
+fn takes_carry_save(n: usize, due: usize) -> bool {
+    let gate = if n >= TOUCH_MIN_NEURONS {
+        CARRY_SAVE_MIN_DUE_ROWS_TOUCHED
+    } else {
+        CARRY_SAVE_MIN_DUE_ROWS
+    };
+    n.is_multiple_of(64) && n <= CARRY_SAVE_MAX_NEURONS && due >= gate
+}
 
 /// A core that stays on the lane adds touches its due rows before adding
 /// them ([`NeurosynapticCore::touch_rows`]) only if it is at least this
@@ -46,9 +64,9 @@ const TOUCH_MIN_NEURONS: usize = 256;
 /// cache, and a touch pass over them is pure overhead. `nemo_64x64_full`'s
 /// cores, whose rows miss, have ~8 due rows. A core the carry-save sum
 /// takes is not touched: it loads eight rows at a time, whose misses
-/// overlap without help. So on a 256-neuron core the touch now covers 1
-/// to 15 due rows, below [`CARRY_SAVE_MIN_DUE_ROWS`]; this bound holds for
-/// the wider cores the sum does not take.
+/// overlap without help. So on a 256-neuron core the touch covers 1 to
+/// 23 due rows, below [`CARRY_SAVE_MIN_DUE_ROWS_TOUCHED`]; this bound holds
+/// for the wider cores the sum does not take.
 const TOUCH_MAX_DUE_ROWS: usize = 64;
 
 /// The events one evaluated tick consumed: what
@@ -186,8 +204,7 @@ impl NeurosynapticCore {
     ) -> TickEvents {
         let n = self.n_neurons;
         let mut events = TickEvents::default();
-        let carry_save =
-            n.is_multiple_of(64) && n <= CARRY_SAVE_MAX_NEURONS && due >= CARRY_SAVE_MIN_DUE_ROWS;
+        let carry_save = takes_carry_save(n, due);
         match (self.strategy, self.crossbar.words()) {
             (EvalStrategy::Sparse, _) => {
                 counts.fill(0);
@@ -555,7 +572,7 @@ mod tests {
         // is touched below the carry-save gate; a 320-neuron core, which
         // the sum does not take, up to the touch gate's bound.
         let max = TOUCH_MAX_DUE_ROWS;
-        let below_sum = CARRY_SAVE_MIN_DUE_ROWS - 1;
+        let below_sum = CARRY_SAVE_MIN_DUE_ROWS_TOUCHED - 1;
         let cases: [(usize, u64, &[usize], bool); 5] = [
             (256, 16, &[1, 8, below_sum], true),
             (256, 128, &[1, 8, below_sum], true),
@@ -570,11 +587,10 @@ mod tests {
             let mut axons: Vec<usize> = (0..neurons).collect();
             for t in 0..40 {
                 let due = due_counts[t as usize % due_counts.len()];
-                let summed = neurons.is_multiple_of(64)
-                    && neurons <= CARRY_SAVE_MAX_NEURONS
-                    && due >= CARRY_SAVE_MIN_DUE_ROWS;
                 assert_eq!(
-                    !summed && neurons >= TOUCH_MIN_NEURONS && due <= TOUCH_MAX_DUE_ROWS,
+                    !takes_carry_save(neurons, due)
+                        && neurons >= TOUCH_MIN_NEURONS
+                        && due <= TOUCH_MAX_DUE_ROWS,
                     touched
                 );
                 // The first `due` entries of a partial Fisher–Yates shuffle.
@@ -613,9 +629,11 @@ mod tests {
         // A density-0 core has no crossbar storage and stays on the lane
         // adds; 1/256 leaves most rows empty, 256/256 fills them. The sum
         // takes the 256-, 192-, 128- and 64-neuron cores, not the 255.
-        let gate = CARRY_SAVE_MIN_DUE_ROWS;
+        let gate = CARRY_SAVE_MIN_DUE_ROWS_TOUCHED;
+        let narrow = CARRY_SAVE_MIN_DUE_ROWS;
         let spread = [15, 16, 17, 55, 56, 57, 64].map(Due::Spread);
         let around_gate = [gate - 1, gate, gate + 1, 100, 256].map(Due::Any);
+        let around_narrow = [narrow - 1, narrow, narrow + 1, 100, 256].map(Due::Any);
         let cases: [(usize, u64, &[Due]); 10] = [
             (256, 0, &spread),
             (256, 1, &spread),
@@ -628,13 +646,9 @@ mod tests {
                 &[Due::OneType(gate), Due::OneType(64), Due::Any(8)],
             ),
             (255, 128, &around_gate),
-            (
-                192,
-                256,
-                &[Due::Any(gate - 1), Due::Any(gate), Due::Any(192)],
-            ),
-            (128, 128, &around_gate),
-            (64, 16, &around_gate),
+            (192, 256, &around_narrow),
+            (128, 128, &around_narrow),
+            (64, 16, &around_narrow),
         ];
         let mut summed = [0; 2];
         for (neurons, density, due_sets) in cases {
@@ -664,10 +678,7 @@ mod tests {
                         all
                     }
                 };
-                let takes = neurons.is_multiple_of(64)
-                    && neurons <= CARRY_SAVE_MAX_NEURONS
-                    && axons.len() >= gate
-                    && density > 0;
+                let takes = takes_carry_save(neurons, axons.len()) && density > 0;
                 summed[usize::from(takes)] += 1;
                 for &a in &axons {
                     swar.deliver(a, t).unwrap();
