@@ -432,6 +432,28 @@ mod tests {
     }
 
     #[test]
+    fn import_keeps_the_ring_backlog_exact() {
+        // A ring whose only events sit in the last slot restores busy, with
+        // every one of them pending; an empty ring restores quiescent.
+        let core = one_to_one_core(70, EvalStrategy::Swar);
+        assert!(core.is_quiescent());
+        let mut state = core.export_state();
+        let sched_words = 70usize.div_ceil(64);
+        let last = (SCHEDULER_SLOTS - 1) * sched_words;
+        state.dynamics.scheduler_slots[last] = 0b1011 << 60;
+        state.dynamics.scheduler_slots[last + 1] = 0b10_0001;
+        let restored = NeurosynapticCore::import_state(&state).unwrap();
+        assert!(!restored.is_idle() && !restored.is_quiescent());
+        assert_eq!(restored.pending_events(), 5);
+        assert_eq!(restored.export_state(), state);
+
+        state.dynamics.scheduler_slots.fill(0);
+        let restored = NeurosynapticCore::import_state(&state).unwrap();
+        assert!(restored.is_idle() && restored.is_quiescent());
+        assert_eq!(restored.pending_events(), 0);
+    }
+
+    #[test]
     fn import_rejects_malformed_state() {
         let core = one_to_one_core(70, EvalStrategy::Swar);
         let good = core.export_state();

@@ -1072,6 +1072,74 @@ mod tests {
         assert!(cores.iter().all(|c| c.stats().spikes > 0));
     }
 
+    /// The byte-by-byte reference for [`harvest_scan_flags`].
+    fn harvest_by_byte(flags: &[u8], fired: &mut Vec<u16>) -> bool {
+        let mut unsettled = false;
+        for (index, &flag) in flags.iter().enumerate() {
+            if flag & SCAN_FIRED != 0 {
+                fired.push(index as u16);
+            }
+            unsettled |= flag & SCAN_UNSETTLED != 0;
+        }
+        unsettled
+    }
+
+    #[test]
+    fn harvest_agrees_with_the_byte_by_byte_reference() {
+        // Every flag byte alone at every lane, every fired pattern of every
+        // group of eight lanes with and without an unsettled lane beside
+        // it, and random backgrounds, at widths around the 8-lane group
+        // and the 32-lane block. The harvest appends: each case starts
+        // from a list that already holds another core's spikes.
+        let both = SCAN_FIRED | SCAN_UNSETTLED;
+        let mut rng = xorshift(0x4A2F);
+        let check = |flags: &[u8], case: &str| {
+            let (mut got, mut want) = (vec![7, 3], vec![7, 3]);
+            let unsettled = harvest_scan_flags(flags, &mut got);
+            let expected = harvest_by_byte(flags, &mut want);
+            assert_eq!(got, want, "{case}: fired");
+            assert_eq!(unsettled, expected, "{case}: unsettled");
+        };
+        for width in [1, 7, 8, 9, 24, 31, 32, 33, 63, 64, 65, 255, 256, 320] {
+            let mut flags = vec![0u8; width];
+            check(&flags, &format!("{width} lanes, none set"));
+            for lane in 0..width {
+                for flag in [SCAN_FIRED, SCAN_UNSETTLED, both] {
+                    flags[lane] = flag;
+                    check(&flags, &format!("{width} lanes, {flag} at {lane}"));
+                }
+                flags[lane] = 0;
+            }
+            for group in (0..width).step_by(8) {
+                let lanes = (width - group).min(8);
+                for mask in 0..1u32 << lanes {
+                    for unsettled_lane in [None, Some(group + mask as usize % lanes)] {
+                        flags.fill(0);
+                        for j in 0..lanes {
+                            flags[group + j] = u8::from(mask >> j & 1 != 0) * SCAN_FIRED;
+                        }
+                        if let Some(lane) = unsettled_lane {
+                            flags[lane] |= SCAN_UNSETTLED;
+                        }
+                        let case = format!("{width} lanes, group {group}, mask {mask:#x}");
+                        check(&flags, &format!("{case}, unsettled {unsettled_lane:?}"));
+                    }
+                }
+            }
+            for density in [1, 16, 128, 255] {
+                for _ in 0..8 {
+                    for flag in flags.iter_mut() {
+                        let draw = rng();
+                        let fired = u8::from(draw % 256 < density) * SCAN_FIRED;
+                        let unsettled = u8::from((draw >> 8) % 256 < density) * SCAN_UNSETTLED;
+                        *flag = fired | unsettled;
+                    }
+                    check(&flags, &format!("{width} lanes, random at {density}/256"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn delayed_delivery_through_scheduler() {
         let mut core = one_to_one_core(4, EvalStrategy::Sparse);
