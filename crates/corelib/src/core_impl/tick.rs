@@ -51,23 +51,22 @@ fn takes_carry_save(n: usize, due: usize) -> bool {
 }
 
 /// A core that stays on the lane adds touches its due rows before adding
-/// them ([`NeurosynapticCore::touch_rows`]) only if it is at least this
-/// wide. A 256-neuron row is four words, whose add is long enough that the
+/// them ([`NeurosynapticCore::touch_rows`]) if it is at least this wide. A
+/// 256-neuron row is four words, whose add is long enough that the
 /// out-of-order window holds only a few rows' loads at once, so their cache
 /// misses serialise; a one-word row adds in a few instructions, its misses
 /// already overlap, and touching it first measured slower
 /// (`telemetry_32x32_sparse`, EXPERIMENTS.md § *Phase 1 waits on memory*).
+///
+/// The carry-save sum bounds the touch from above: it takes a 256-neuron
+/// core from [`CARRY_SAVE_MIN_DUE_ROWS_TOUCHED`] due rows, so the lane
+/// adds, and the touch, see 1 to 23. A core driven hard tick after tick
+/// (`dense_8x8`: ~230 due rows) finds its rows in cache, where a touch pass
+/// would be pure overhead, and the sum loads eight rows at a time, whose
+/// misses overlap without help. `nemo_64x64_full`'s cores, whose rows miss,
+/// have ~8 due rows. A wider core, which the sum never takes, is touched at
+/// any load; no corpus entry or benchmark workload has one.
 const TOUCH_MIN_NEURONS: usize = 256;
-
-/// … and only when at most this many axons are due. A core driven this
-/// hard tick after tick (`dense_8x8`: ~230 due rows) finds its rows in
-/// cache, and a touch pass over them is pure overhead. `nemo_64x64_full`'s
-/// cores, whose rows miss, have ~8 due rows. A core the carry-save sum
-/// takes is not touched: it loads eight rows at a time, whose misses
-/// overlap without help. So on a 256-neuron core the touch covers 1 to
-/// 23 due rows, below [`CARRY_SAVE_MIN_DUE_ROWS_TOUCHED`]; this bound holds
-/// for the wider cores the sum does not take.
-const TOUCH_MAX_DUE_ROWS: usize = 64;
 
 /// The events one evaluated tick consumed: what
 /// [`NeurosynapticCore::tick_into`] adds to the [`super::CoreStats`]
@@ -238,7 +237,7 @@ impl NeurosynapticCore {
             }
             (EvalStrategy::Swar, _) => {
                 counts.fill(0);
-                if n >= TOUCH_MIN_NEURONS && due <= TOUCH_MAX_DUE_ROWS {
+                if n >= TOUCH_MIN_NEURONS {
                     self.touch_rows(bitmap);
                 }
                 // Word-parallel: each due row adds into its type's plane
@@ -397,34 +396,77 @@ impl NeurosynapticCore {
     }
 }
 
-/// Harvests a population scan's flag bytes eight at a time into `fired`,
-/// returning whether any neuron is unsettled. Firing is rare (the common
-/// word has no fired bytes), so one u64 test replaces eight byte branches
-/// and the fired loop only spins on the exact set bits.
+/// Bit 0 of each of a word's eight flag bytes: the [`SCAN_FIRED`] lanes.
+const LOW_LANES: u64 = u64::from_le_bytes([1; 8]);
+
+// The harvest gathers bit 0 of each byte.
+const _: () = assert!(SCAN_FIRED == 1);
+
+/// `SET_LANES[mask]` lists the set bits of `mask` in ascending order, then
+/// zeros: the lanes of a group of eight flag bytes that fired.
+static SET_LANES: [[u8; 8]; 256] = set_lanes();
+
+const fn set_lanes() -> [[u8; 8]; 256] {
+    let mut table = [[0; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut taken) = (0, 0);
+        while lane < 8 {
+            if mask >> lane & 1 != 0 {
+                table[mask][taken] = lane as u8;
+                taken += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+}
+
+/// Harvests a population scan's flag bytes into `fired`, returning whether
+/// any neuron is unsettled. The scan stays a plain byte loop, which
+/// vectorises; the harvest reads its flags back 32 lanes at a time and
+/// skips a block with no fired lane. In a block that fired, each group of
+/// eight lanes becomes an 8-bit mask (one multiply gathers bit 0 of every
+/// byte into the top byte), and [`SET_LANES`] turns the mask into lane
+/// indices without a branch: all eight candidates are appended, then the
+/// list is cut back to the mask's popcount. The unsettled bits are ORed
+/// across the whole buffer and tested once.
 fn harvest_scan_flags(flags: &[u8], fired: &mut Vec<u16>) -> bool {
-    let fired_lanes = u64::from_ne_bytes([SCAN_FIRED; 8]);
-    let unsettled_lanes = u64::from_ne_bytes([SCAN_UNSETTLED; 8]);
-    let mut unsettled = false;
-    let words = flags.chunks_exact(8);
-    let tail = words.remainder();
-    for (w, chunk) in words.enumerate() {
-        let lanes = u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk"));
-        unsettled |= lanes & unsettled_lanes != 0;
-        let mut hits = lanes & fired_lanes;
-        while hits != 0 {
-            let lane = hits.trailing_zeros() as usize / 8;
-            hits &= hits - 1;
-            fired.push((w * 8 + lane) as u16);
+    /// Appends the fired lanes of the group of eight at `base`.
+    #[inline(always)]
+    fn group(lanes: u64, base: usize, fired: &mut Vec<u16>) {
+        let mask = (lanes & LOW_LANES).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        let len = fired.len();
+        fired.extend(SET_LANES[mask as usize].map(|lane| base as u16 + u16::from(lane)));
+        fired.truncate(len + mask.count_ones() as usize);
+    }
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 flag bytes"));
+    // Room for every lane plus the seven candidates past the last group's
+    // popcount: the appends below never reallocate.
+    fired.reserve(flags.len() + 8);
+    let mut seen = 0;
+    let blocks = flags.chunks_exact(32);
+    let rest = blocks.remainder();
+    for (b, block) in blocks.enumerate() {
+        let lanes: [u64; 4] = std::array::from_fn(|i| word(&block[i * 8..][..8]));
+        let any = lanes[0] | lanes[1] | lanes[2] | lanes[3];
+        seen |= any;
+        if any & LOW_LANES != 0 {
+            for (i, lanes) in lanes.into_iter().enumerate() {
+                group(lanes, b * 32 + i * 8, fired);
+            }
         }
     }
-    let base = flags.len() - tail.len();
-    for (index, &flag) in tail.iter().enumerate() {
-        if flag & SCAN_FIRED != 0 {
-            fired.push((base + index) as u16);
-        }
-        unsettled |= flag & SCAN_UNSETTLED != 0;
+    let base = flags.len() - rest.len();
+    for (i, chunk) in rest.chunks(8).enumerate() {
+        let mut bytes = [0; 8];
+        bytes[..chunk.len()].copy_from_slice(chunk);
+        let lanes = u64::from_le_bytes(bytes);
+        seen |= lanes;
+        group(lanes, base + i * 8, fired);
     }
-    unsettled
+    seen & (LOW_LANES * u64::from(SCAN_UNSETTLED)) != 0
 }
 
 #[cfg(test)]
@@ -568,16 +610,17 @@ mod tests {
     fn swar_agrees_with_the_oracle_on_both_sides_of_the_touch_gate() {
         // Each case drives a `Swar` core and its `Sparse` twin with the same
         // random due axons, cycling through its due counts, and says whether
-        // phase 1 touches those rows before adding them. A 256-neuron core
-        // is touched below the carry-save gate; a 320-neuron core, which
-        // the sum does not take, up to the touch gate's bound.
-        let max = TOUCH_MAX_DUE_ROWS;
+        // phase 1 touches those rows before adding them. The gate is the
+        // width: a 256-neuron core is touched below the carry-save gate, a
+        // 320-neuron core, which the sum does not take, at any load, and a
+        // 255-neuron core never.
         let below_sum = CARRY_SAVE_MIN_DUE_ROWS_TOUCHED - 1;
-        let cases: [(usize, u64, &[usize], bool); 5] = [
+        let cases: [(usize, u64, &[usize], bool); 6] = [
             (256, 16, &[1, 8, below_sum], true),
             (256, 128, &[1, 8, below_sum], true),
-            (320, 16, &[1, 8, 40, max - 1, max], true),
-            (320, 16, &[max + 1, 2 * max, 320], false),
+            (320, 16, &[1, 8, 40, 64, 65, 320], true),
+            (255, 16, &[1, 8, below_sum, 64, 255], false),
+            (255, 128, &[1, 8, below_sum], false),
             (70, 64, &[1, 8, 69, 70], false),
         ];
         for (neurons, density, due_counts, touched) in cases {
@@ -588,9 +631,7 @@ mod tests {
             for t in 0..40 {
                 let due = due_counts[t as usize % due_counts.len()];
                 assert_eq!(
-                    !takes_carry_save(neurons, due)
-                        && neurons >= TOUCH_MIN_NEURONS
-                        && due <= TOUCH_MAX_DUE_ROWS,
+                    !takes_carry_save(neurons, due) && neurons >= TOUCH_MIN_NEURONS,
                     touched
                 );
                 // The first `due` entries of a partial Fisher–Yates shuffle.
