@@ -1,10 +1,9 @@
 //! The differential conformance layer: runs a corpus entry on the production
 //! configuration and on each single-axis departure from it — thread count,
-//! kernel oracle, scheduler oracle, telemetry — and proves every run
-//! bit-identical to the others and to the entry's pinned checksum.
+//! scheduler oracle, telemetry — and proves every run bit-identical to the
+//! others and to the entry's pinned checksum.
 
 use brainsim_chip::TelemetryConfig;
-use brainsim_core::EvalStrategy;
 use brainsim_energy::EventCensus;
 use brainsim_neuron::Lfsr;
 
@@ -13,8 +12,6 @@ use crate::corpus::{workload_builder, Fnv1a, WorkloadDef};
 /// One simulator configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
-    /// Core evaluation strategy.
-    pub strategy: EvalStrategy,
     /// Scheduler oracle: evaluate every core every tick
     /// (`ChipBuilder::sweep_reference`) instead of the active set.
     pub sweep: bool,
@@ -25,41 +22,31 @@ pub struct Variant {
 }
 
 impl Variant {
-    /// What a default-configured chip runs: the SWAR kernel under
-    /// active-core scheduling, one thread, telemetry off.
+    /// What a default-configured chip runs: active-core scheduling, one
+    /// thread, telemetry off.
     pub const PRODUCTION: Variant = Variant {
-        strategy: EvalStrategy::Swar,
         sweep: false,
         threads: 1,
         telemetry: false,
     };
 
-    /// Stable label, e.g. `sweep_swar_t1` or `active_sparse_t8`.
+    /// Stable label, e.g. `sweep_t1` or `active_t8_telemetry`.
     pub fn label(&self) -> String {
         let sched = if self.sweep { "sweep" } else { "active" };
-        let strat = match self.strategy {
-            EvalStrategy::Swar => "swar",
-            EvalStrategy::Sparse => "sparse",
-        };
         let tel = if self.telemetry { "_telemetry" } else { "" };
-        format!("{sched}_{strat}_t{}{tel}", self.threads)
+        format!("{sched}_t{}{tel}", self.threads)
     }
 }
 
 /// The conformance matrix every corpus entry must pass: production plus
-/// one axis at a time — 8 threads, the scalar kernel oracle, the sweep
-/// scheduler oracle, telemetry on. 5 runs per entry, all required to be
-/// bit-identical.
+/// one axis at a time — 8 threads, the sweep scheduler oracle, telemetry
+/// on. 4 runs per entry, all required to be bit-identical.
 pub fn conformance_matrix() -> Vec<Variant> {
     let production = Variant::PRODUCTION;
     vec![
         production,
         Variant {
             threads: 8,
-            ..production
-        },
-        Variant {
-            strategy: EvalStrategy::Sparse,
             ..production
         },
         Variant {
@@ -87,7 +74,7 @@ pub struct RunResult {
 /// overlay, drives the seeded stimulus for `def.ticks` ticks and folds the
 /// per-tick raster into the checksum.
 pub fn run_variant(def: &WorkloadDef, variant: &Variant) -> RunResult {
-    let (mut builder, _) = workload_builder(def, variant.strategy, variant.threads, false);
+    let (mut builder, _) = workload_builder(def, variant.threads, false);
     if variant.sweep {
         builder.sweep_reference();
     }
@@ -245,20 +232,13 @@ mod tests {
         let labels: Vec<String> = m.iter().map(Variant::label).collect();
         assert_eq!(
             labels,
-            [
-                "active_swar_t1",
-                "active_swar_t8",
-                "active_sparse_t1",
-                "sweep_swar_t1",
-                "active_swar_t1_telemetry",
-            ]
+            ["active_t1", "active_t8", "sweep_t1", "active_t1_telemetry",]
         );
         // Production plus one axis at a time: a divergence names its axis.
         let p = Variant::PRODUCTION;
         assert_eq!(m[0], p);
         for v in &m[1..] {
             let departures = [
-                v.strategy != p.strategy,
                 v.sweep != p.sweep,
                 v.threads != p.threads,
                 v.telemetry != p.telemetry,
@@ -278,12 +258,12 @@ mod tests {
             threads: 8,
             ..Variant::PRODUCTION
         };
-        assert_eq!(v.label(), "active_swar_t8");
+        assert_eq!(v.label(), "active_t8");
         let t = Variant {
             sweep: true,
             telemetry: true,
             ..Variant::PRODUCTION
         };
-        assert_eq!(t.label(), "sweep_swar_t1_telemetry");
+        assert_eq!(t.label(), "sweep_t1_telemetry");
     }
 }

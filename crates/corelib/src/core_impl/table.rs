@@ -2,7 +2,6 @@
 
 use brainsim_neuron::{scalar_quiescent, DeterministicParams, NeuronConfig};
 
-use super::EvalStrategy;
 use crate::spike::RouteWord;
 
 /// One parameter block per neuron, with a uniform population stored once.
@@ -53,19 +52,12 @@ impl<P: PartialEq> ParamStore<P> {
 }
 
 impl ParamStore<NeuronConfig> {
-    /// The fast path's parameters for a core of these configs under
-    /// `strategy` (uniform populations collapse to one block), or `None`
-    /// when the core runs the scalar phase-2 walk. This is the one place
-    /// fast-path eligibility is decided: the scalar oracle never takes it,
-    /// and a single stochastic neuron anywhere keeps the whole core off it
-    /// (the LFSR draw order is global to the core).
-    pub(super) fn fast_path(
-        &self,
-        strategy: EvalStrategy,
-    ) -> Option<ParamStore<DeterministicParams>> {
-        if strategy == EvalStrategy::Sparse {
-            return None;
-        }
+    /// The fast path's parameters for a core of these configs (uniform
+    /// populations collapse to one block), or `None` when the core runs the
+    /// scalar phase-2 walk. This is the one place fast-path eligibility is
+    /// decided: a single stochastic neuron anywhere keeps the whole core off
+    /// it (the LFSR draw order is global to the core).
+    pub(super) fn fast_path(&self) -> Option<ParamStore<DeterministicParams>> {
         let params = self.blocks().iter().map(NeuronConfig::deterministic_params);
         Some(ParamStore::collapse(params.collect::<Option<Vec<_>>>()?))
     }

@@ -21,16 +21,16 @@
 //! ([`brainsim_neuron::scalar_integrate_count`],
 //! [`brainsim_neuron::scalar_finish_tick`]); a fully deterministic core
 //! runs its pure form instead.
-//! There is one production kernel, the word-parallel
-//! [`EvalStrategy::Swar`] (each due crossbar row added straight into the
-//! per-type `u16` counters by [`integrate_row`], eight lanes per vector
-//! add, or, on a hard-driven core up to 256 neurons wide, each type's due
-//! rows summed in carry-save bit planes by `carry_save_rows`; plus a
-//! struct-of-arrays fast path for fully deterministic cores),
-//! and one scalar oracle, [`EvalStrategy::Sparse`], which tests select at
-//! construction. The two are bit-identical by
-//! construction (property tested), mirroring the one-to-one equivalence
-//! between the silicon and its simulator.
+//! There is one evaluation path. Phase 1 is word-parallel: each due
+//! crossbar row is added straight into the per-type `u16` counters by
+//! [`integrate_row`], eight lanes per vector add, or, on a hard-driven core
+//! up to 256 neurons wide, each type's due rows are summed in carry-save
+//! bit planes by `carry_save_rows`. Phase 2 runs a fully deterministic
+//! core through a struct-of-arrays fast path and any other core through
+//! the scalar walk. The reference it is held to is `brainsim-snn`'s naive
+//! `GoldenCore`, tick by tick in this crate's tests and across the
+//! workspace, mirroring the one-to-one equivalence between the silicon and
+//! its simulator.
 //!
 //! ## Example
 //!
@@ -68,7 +68,7 @@ mod swar;
 
 pub use core_impl::{
     CoreBuildError, CoreBuilder, CoreDynamics, CoreFaultsState, CoreScratch, CoreState,
-    CoreStateError, CoreStats, CoreTables, EvalStrategy, NeurosynapticCore, TickEvents,
+    CoreStateError, CoreStats, CoreTables, NeurosynapticCore, TickEvents,
 };
 pub use crossbar::Crossbar;
 pub use scheduler::{Scheduler, SCHEDULER_SLOTS};

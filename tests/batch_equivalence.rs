@@ -3,11 +3,9 @@
 //! synapse faults and so must copy-on-write its arena slice — stays
 //! bit-identical to a solo `Chip` with the same seed, drive and plan, and
 //! leaves its sibling clones bit-identical to theirs: per-tick summaries,
-//! final census, fault statistics, telemetry records and checkpoint bytes,
-//! under both the `Swar` kernel and the `Sparse` scalar oracle.
+//! final census, fault statistics, telemetry records and checkpoint bytes.
 
 use brainsim::chip::{ChipBatch, TelemetryConfig};
-use brainsim::core::EvalStrategy;
 use brainsim::faults::FaultPlan;
 use brainsim_bench::corpus;
 use brainsim_bench::sweep;
@@ -17,12 +15,6 @@ fn per_lane_fault_plans_diverge_without_breaking_identity() {
     // Distinct fault plans per lane: lane 0 clean, lane 1 crossbar-burning
     // synapse faults, lane 2 dead/stuck neurons + link drops. Every lane
     // must still equal a solo chip carrying the same plan and drive.
-    for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
-        per_lane_fault_plans_stay_bit_identical(strategy);
-    }
-}
-
-fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
     let def = corpus::test_defs().remove(0);
     let plans: [Option<FaultPlan>; 3] = [
         None,
@@ -39,7 +31,7 @@ fn per_lane_fault_plans_stay_bit_identical(strategy: EvalStrategy) {
         ),
     ];
 
-    let build = || corpus::build_workload(&def, strategy, 1).0;
+    let build = || corpus::build_workload(&def, 1).0;
     let proto = build();
     let mut batch = ChipBatch::new_replicas(&proto, plans.len()).expect("batch");
     let mut twins: Vec<brainsim::chip::Chip> = (0..plans.len()).map(|_| build()).collect();

@@ -18,7 +18,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use brainsim::chip::Chip;
-use brainsim::core::EvalStrategy;
 use brainsim_bench::corpus::{self, build_workload};
 
 /// [`System`], tracking the live and peak heap bytes of the calling thread.
@@ -122,7 +121,7 @@ const RESTORE_BOUND: f64 = 1.0;
 
 fn build() -> (Chip, i64, i64) {
     let def = corpus::find(ENTRY).expect("corpus entry exists");
-    let ((chip, _), peak, built) = measure(|| build_workload(&def, EvalStrategy::Swar, 1));
+    let ((chip, _), peak, built) = measure(|| build_workload(&def, 1));
     (chip, peak, built)
 }
 

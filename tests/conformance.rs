@@ -2,12 +2,12 @@
 //!
 //! Every corpus entry pins an FNV-1a checksum over its full run (per-tick
 //! spike rasters + final event census). These tests run the corpus through
-//! the conformance matrix — production (`active_swar_t1`) plus one axis at
-//! a time: `active_swar_t8`, `active_sparse_t1` (kernel oracle),
-//! `sweep_swar_t1` (scheduler oracle), `active_swar_t1_telemetry` — and
-//! require every variant to be bit-identical AND to match the pinned value,
-//! so a regression in the kernel, the scheduler, the thread pipeline or
-//! telemetry fails here, naming its axis.
+//! the conformance matrix — production (`active_t1`) plus one axis at a
+//! time: `active_t8`, `sweep_t1` (scheduler oracle), `active_t1_telemetry`
+//! — and require every variant to be bit-identical AND to match the pinned
+//! value, so a regression in the kernel, the scheduler, the thread pipeline
+//! or telemetry fails here, naming its axis or, where every variant moves
+//! alike, the pin.
 //!
 //! Release builds run all ten entries, both 64×64 / 4096-core shapes and
 //! the two route-bound `nemo_route_8x4` entries included; debug builds run the two 8×8 `smoke` entries
@@ -16,7 +16,6 @@
 //! the value to paste.
 
 use brainsim::chip::Chip;
-use brainsim::core::EvalStrategy;
 use brainsim_bench::corpus::{self, build_workload};
 use brainsim_bench::sweep;
 
@@ -86,7 +85,7 @@ fn edge_bulk_cores_stay_dormant_through_the_run() {
             })
             .collect()
     };
-    let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+    let (mut chip, _) = build_workload(&def, 1);
     assert_eq!(dormant(&chip), expected, "at build");
     brainsim_bench::drive_random_cores(
         &mut chip,

@@ -416,11 +416,9 @@ fn active_scheduling_evaluates_fewer_cores_on_bursty_input() {
 
 /// This pulls a ≥16×16 entry from the corpus generator (rather than the
 /// ad-hoc 4×4 builder above) and proves the run checksum and census are
-/// bit-identical to the sweep oracle's across every thread count and the
-/// scalar reference strategy.
+/// bit-identical to the sweep oracle's across every thread count.
 #[test]
 fn corpus_workload_is_bit_identical_across_threads_and_scheduling() {
-    use brainsim::core::EvalStrategy;
     use brainsim_bench::corpus;
     use brainsim_bench::sweep::{run_variant, Variant};
 
@@ -440,20 +438,17 @@ fn corpus_workload_is_bit_identical_across_threads_and_scheduling() {
     );
     assert!(reference.census.spikes > 0, "workload must be active");
     for &threads in &thread_counts() {
-        for strategy in [EvalStrategy::Swar, EvalStrategy::Sparse] {
-            let variant = Variant {
-                strategy,
-                threads,
-                ..Variant::PRODUCTION
-            };
-            let result = run_variant(&def, &variant);
-            let label = variant.label();
-            assert_eq!(
-                result.checksum, reference.checksum,
-                "checksum diverged: {label}"
-            );
-            assert_eq!(result.census, reference.census, "census diverged: {label}");
-        }
+        let variant = Variant {
+            threads,
+            ..Variant::PRODUCTION
+        };
+        let result = run_variant(&def, &variant);
+        let label = variant.label();
+        assert_eq!(
+            result.checksum, reference.checksum,
+            "checksum diverged: {label}"
+        );
+        assert_eq!(result.census, reference.census, "census diverged: {label}");
     }
 }
 
@@ -470,14 +465,13 @@ fn landings_keep_their_telemetry_at_every_thread_count() {
     // landing is made, each record must count it, bucket its hops, and
     // report each core's backlog as it stood after the core's own tick,
     // before any of that tick's landings.
-    use brainsim::core::EvalStrategy;
     use brainsim_bench::corpus::{self, build_workload, Fnv1a};
     use brainsim_bench::drive_core;
     use brainsim_bench::sweep::lane_drive_seed;
 
     let def = corpus::find("nemo_8x8_hi").expect("corpus entry exists");
     for threads in [1, 2, 8] {
-        let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, threads);
+        let (mut chip, _) = build_workload(&def, threads);
         chip.enable_telemetry(TelemetryConfig::unbounded());
         let mut noise = Lfsr::new(lane_drive_seed(&def, 0));
         for _ in 0..def.ticks {

@@ -14,7 +14,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use brainsim::chip::TelemetryConfig;
-use brainsim::core::EvalStrategy;
 use brainsim::neuron::Lfsr;
 use brainsim_bench::corpus::{self, build_workload};
 use brainsim_bench::sweep::lane_drive_seed;
@@ -97,7 +96,7 @@ const COLD: u64 = 3;
 /// stimulus stream and fault overlay.
 fn allocations_by_tick(name: &str, telemetry: Option<TelemetryConfig>, ticks: u64) -> Vec<u64> {
     let def = corpus::find(name).expect("corpus entry exists");
-    let (mut chip, _) = build_workload(&def, EvalStrategy::Swar, 1);
+    let (mut chip, _) = build_workload(&def, 1);
     if let Some(plan) = def.fault_plan() {
         chip.set_fault_plan(&plan);
     }
