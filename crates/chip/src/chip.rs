@@ -393,7 +393,7 @@ impl Chip {
     /// Call between ticks (any tick boundary is crash-consistent). A chip
     /// rebuilt via [`Chip::restore`] and run onward produces the
     /// bit-identical event stream an uninterrupted run produces — at any
-    /// thread count, on the SWAR kernel or the scalar oracle — because the
+    /// thread count — because the
     /// tick pipeline's cross-thread combination steps are order-preserving
     /// or commutative and all randomness lives in the per-core LFSRs
     /// captured here.

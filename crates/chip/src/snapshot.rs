@@ -99,7 +99,7 @@ pub struct ChipDynamics {
 /// Produced by [`crate::Chip::checkpoint`]; consumed by
 /// [`crate::Chip::restore`]. Restoring and continuing yields the
 /// bit-identical event stream an uninterrupted run produces, at any thread
-/// count, on the SWAR kernel or the scalar oracle.
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Configuration, counters, telemetry and application images.

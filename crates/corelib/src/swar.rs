@@ -25,8 +25,8 @@
 //! The counts are exact either way, so the kernels compose with every
 //! neuron mode: stochastic cores still consume the canonical per-event LFSR
 //! draws from the counts, and a tick's synaptic events are the popcount of
-//! the row words the kernel loaded — bit-identical to the scalar oracle,
-//! which counts one event at a time.
+//! the row words the kernel loaded — bit-identical to counting one event
+//! at a time, as the golden model does.
 //!
 //! Which kernel runs is the core's tick's choice
 //! (`NeurosynapticCore::integrate`), from its width and its due count.
