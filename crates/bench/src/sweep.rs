@@ -232,7 +232,7 @@ mod tests {
         let labels: Vec<String> = m.iter().map(Variant::label).collect();
         assert_eq!(
             labels,
-            ["active_t1", "active_t8", "sweep_t1", "active_t1_telemetry",]
+            ["active_t1", "active_t8", "sweep_t1", "active_t1_telemetry"]
         );
         // Production plus one axis at a time: a divergence names its axis.
         let p = Variant::PRODUCTION;

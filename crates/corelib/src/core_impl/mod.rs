@@ -682,9 +682,6 @@ mod tests {
         /// as the core at `(x, y)`, and to the twin's raster.
         pub(super) fn apply_faults(&mut self, injector: &FaultInjector, x: usize, y: usize) {
             self.core.apply_faults(injector, x, y);
-            if injector.is_benign() {
-                return;
-            }
             assert!(
                 !injector.core_dropped(x, y) && !injector.has_synapse_faults(),
                 "the twin models neuron faults only"
